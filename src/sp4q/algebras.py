@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .fock import FockSpace, FockState
-from .ops import NumOp, QOperator, classical_gram, gram, to_numeric
+from .ops import NumOp, QOperator, basis_norms, classical_gram, gram, to_numeric
 from .qnum import LaurentPoly, ONE, Q, q_int, q_power
 
 FAMILIES = ("classical", "qboson", "tensor")
@@ -432,9 +432,12 @@ class NumericContext:
         self.gens = gens
         self.space = gens.space
         self.q = float(q)
-        gram_fn = gens.gram_fn()
         self._classical = gens.family == "classical"
-        self._table = {k: to_numeric(op, self.q, gram_fn) for k, op in gens.ops.items()}
+        # One set of basis norms serves every generator at this q.
+        norms = basis_norms(self.space, self.q, gens.gram_fn())
+        self._table = {
+            k: to_numeric(op, self.q, norms=norms) for k, op in gens.ops.items()
+        }
 
     # scalar helpers ----------------------------------------------------
 
@@ -442,6 +445,11 @@ class NumericContext:
         if self._classical:
             return float(x)
         qm = self.q ** float(m)
+        if qm == 1.0:
+            raise ValueError(
+                f"the q-bracket [{x}]_{m} is 0/0 at q = 1; numeric checks"
+                f" of the {self.gens.family} family need q != 1"
+            )
         return (qm ** float(x) - qm ** float(-x)) / (qm - 1.0 / qm)
 
     def _num_pow(self, x) -> float:

@@ -497,21 +497,36 @@ class NumOp:
         return max((abs(v) for v in self.entries.values()), default=0.0)
 
 
+def basis_norms(
+    space: FockSpace,
+    q: float,
+    gram_fn: Callable[[FockState], LaurentPoly] = gram,
+) -> list[float]:
+    """The norms sqrt(G_st(q)) of the monomial basis states, in
+    enumeration order."""
+    if q <= 0:
+        raise ValueError("q must be positive")
+    return [math.sqrt(gram_fn(st)(q)) for st in space.states]
+
+
 def to_numeric(
     op: QOperator,
     q: float,
     gram_fn: Callable[[FockState], LaurentPoly] = gram,
+    norms: list[float] | None = None,
 ) -> NumOp:
     """Evaluate at numeric q > 0 in the orthonormal basis.
 
     N[d, s] = entry(q) / den(q) * sqrt(G_d(q) / G_s(q)) (times sqrt of the
-    flag base when present).
+    flag base when present).  ``norms`` are the basis norms of
+    :func:`basis_norms` at this q, if already computed.
     """
     if q <= 0:
         raise ValueError("q must be positive")
+    if norms is None:
+        norms = basis_norms(op.space, q, gram_fn)
     den = op.den(q)
     flag = math.sqrt(op.sqrt_sq(q)) if op.sqrt_sq is not None else 1.0
-    norms = [math.sqrt(gram_fn(st)(q)) for st in op.space.states]
     entries = {}
     for (d, s), poly in op.entries.items():
         entries[(d, s)] = poly(q) / den * flag * norms[d] / norms[s]

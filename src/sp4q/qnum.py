@@ -5,7 +5,9 @@ and its q-deformations is built from q-powers and q-brackets with
 quarter-integer arguments.  Substituting s = q^(1/4) turns all of them
 into Laurent polynomials (or quotients of Laurent polynomials) in s with
 rational coefficients, so identities can be checked exactly instead of
-numerically.
+numerically.  Almost every coefficient is a small integer, so an integral
+coefficient is stored as a Python ``int`` and only a non-integral one as a
+``Fraction``; the ring operations keep that form.
 
 Conventions used throughout the package::
 
@@ -20,6 +22,7 @@ represented by :class:`QRationalFn`.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Mapping, Union
@@ -29,24 +32,38 @@ Q = Fraction
 Scalar = Union[int, Fraction]
 
 
+def _integral(v: Fraction) -> Scalar:
+    """A Fraction with denominator 1 as an int; any other unchanged."""
+    return v.numerator if v.denominator == 1 else v
+
+
 class LaurentPoly:
-    """Laurent polynomial in s = q^(1/4) with Fraction coefficients.
+    """Laurent polynomial in s = q^(1/4) with rational coefficients.
 
     Coefficients are stored as ``{exponent: coefficient}`` with zero
-    coefficients trimmed, so two polynomials are equal iff their dicts
-    are equal.
+    coefficients trimmed and every integral coefficient an ``int`` (a
+    non-integral one is a ``Fraction``), so two polynomials are equal iff
+    their dicts are equal.  Instances are never mutated.
     """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        c: dict[int, Q] = {}
+        c: dict[int, Scalar] = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Q(v)
+                if type(v) is not int:
+                    v = _integral(Q(v))
                 if v:
                     c[int(k)] = v
         self.c = c
+
+    @staticmethod
+    def _of(c: dict[int, Scalar]) -> "LaurentPoly":
+        """Wrap an already trimmed and normalised coefficient dict."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.c = c
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -74,7 +91,7 @@ class LaurentPoly:
 
     @property
     def is_one(self) -> bool:
-        return self.c == {0: Q(1)}
+        return self.c == {0: 1}
 
     def __bool__(self) -> bool:
         return bool(self.c)
@@ -99,7 +116,7 @@ class LaurentPoly:
         return hash(frozenset(self.c.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -v for k, v in self.c.items()})
+        return LaurentPoly._of({k: -v for k, v in self.c.items()})
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -107,14 +124,12 @@ class LaurentPoly:
             return NotImplemented
         c = dict(self.c)
         for k, v in other.c.items():
-            w = c.get(k, Q(0)) + v
+            w = c.get(k, 0) + v
             if w:
-                c[k] = w
+                c[k] = _integral(w) if type(w) is Fraction else w
             elif k in c:
                 del c[k]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.c = c
-        return out
+        return LaurentPoly._of(c)
 
     __radd__ = __add__
 
@@ -134,18 +149,21 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        c: dict[int, Q] = {}
+        c: dict[int, Scalar] = {}
+        get = c.get
+        b = other.c.items()
         for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
+            for k2, v2 in b:
                 k = k1 + k2
-                w = c.get(k, Q(0)) + v1 * v2
+                w = get(k, 0) + v1 * v2
                 if w:
                     c[k] = w
                 elif k in c:
                     del c[k]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.c = c
-        return out
+        for k, w in c.items():
+            if type(w) is Fraction:
+                c[k] = _integral(w)
+        return LaurentPoly._of(c)
 
     __rmul__ = __mul__
 
@@ -159,11 +177,11 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The image under q -> q^-1 (i.e. s -> s^-1)."""
-        return LaurentPoly({-k: v for k, v in self.c.items()})
+        return LaurentPoly._of({-k: v for k, v in self.c.items()})
 
     def shifted(self, exp: int) -> "LaurentPoly":
         """Multiply by the monomial s^exp."""
-        return LaurentPoly({k + exp: v for k, v in self.c.items()})
+        return LaurentPoly._of({k + exp: v for k, v in self.c.items()})
 
     # -- evaluation ----------------------------------------------------
 
@@ -240,8 +258,13 @@ def q_int(n: int, m: int = 1) -> LaurentPoly:
     return LaurentPoly({4 * m * (a - 1 - 2 * i): sign for i in range(a)})
 
 
+@functools.cache
 def q_factorial(n: int) -> LaurentPoly:
-    """[n]! = [1][2]...[n] with [0]! = 1."""
+    """[n]! = [1][2]...[n] with [0]! = 1.
+
+    Memoised: n never exceeds the cutoff and the result does not depend
+    on q, so the cache stays a handful of entries.
+    """
     if n < 0:
         raise ValueError("q-factorial needs n >= 0")
     out = LaurentPoly.one()

@@ -214,6 +214,16 @@ def test_numeric_context_matches_exact(spaces):
     assert abs(num - want) < 1e-12 * (1 + abs(want))
 
 
+def test_numeric_context_rejects_bad_q(spaces):
+    for q in (0.0, -2.0):
+        with pytest.raises(ValueError, match="positive"):
+            numeric_context(spaces["tensor"], q)
+    # the generators need no bracket at q = 1, and classical brackets are n
+    assert numeric_context(spaces["qboson"], 1.0)["Jp"].entries
+    classical = numeric_context(spaces["classical"], 1.0)
+    assert classical.brk(classical.ident(), 3).entries[(0, 0)] == 3.0
+
+
 # -- classical counterparts ------------------------------------------------------
 
 

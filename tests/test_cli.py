@@ -215,6 +215,23 @@ def test_eval_matches_expand(capsys):
     assert val == pytest.approx(b2 * b2, rel=1e-12)
 
 
+def test_eval_at_q_one(capsys):
+    rc, out, _ = run_cli(
+        capsys, "eval", "--family", "qboson", "--op", "Jp", "--state", "0,1",
+        "--q", "1", "--cutoff", "6",
+    )
+    assert rc == 0
+    assert out.startswith("Jp |0,1> = 1.0 |1,0>")
+
+
+def test_verify_at_q_one_is_a_usage_error(capsys):
+    rc, out, err = run_cli(
+        capsys, "verify", "--family", "qboson", "--q", "1", "--cutoff", "8"
+    )
+    assert rc == 2
+    assert "0/0 at q = 1" in err and "Traceback" not in err
+
+
 # -- usage errors ----------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from sp4q.ops import (
     NumOp,
     QOperator,
     SafeSubspace,
+    basis_norms,
     classical_gram,
     diagonal_spectrum,
     first_witness,
@@ -188,6 +189,17 @@ def test_to_numeric_entries_and_adjointness():
         diff = lhs - rhs
         scale = 1.0 + max(lhs.max_abs(), rhs.max_abs())
         assert diff.max_abs() <= 1e-12 * scale
+
+
+def test_shared_basis_norms_give_identical_entries():
+    space = FockSpace(6)
+    ad1 = creator(space, 1)
+    norms = basis_norms(space, 1.3)
+    assert norms[space.index(FockState(2, 0))] == math.sqrt(gram(FockState(2, 0))(1.3))
+    assert to_numeric(ad1, 1.3, norms=norms).entries == to_numeric(ad1, 1.3).entries
+    for q in (0.0, -2.0):
+        with pytest.raises(ValueError, match="positive"):
+            basis_norms(space, q)
 
 
 def test_numeric_composition_matches_exact():

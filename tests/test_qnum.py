@@ -165,6 +165,50 @@ def test_taylor_quotient():
     assert taylor_coefficients(q_bracket(Q(1, 2)), 2) == [Q(1, 2), 0, Q(-1, 16)]
 
 
+# -- coefficient representation and caches --------------------------------------
+
+
+def _normal(p):
+    """Every integral coefficient an int, every other one a Fraction."""
+    return all(
+        type(v) is int if v.denominator == 1 else type(v) is Q for v in p.c.values()
+    )
+
+
+def test_integral_coefficients_are_ints():
+    a = lp({0: Q(4, 2), 3: Q(-6, 3)})
+    assert a.c == {0: 2, 3: -2} and _normal(a)
+    assert _normal(lp({1: Q(1, 2)}) * 2)
+    assert (lp({1: Q(1, 2)}) * 2).c == {1: 1}
+    assert (lp({0: Q(1, 2)}) + Q(1, 2)).c == {0: 1}
+    assert _normal(q_factorial(6)) and _normal(q_int(5) * q_int(3))
+
+
+def test_non_integral_coefficients_stay_fractions():
+    a = lp({0: Q(1, 3)}) * 2 + 1
+    assert a.c == {0: Q(5, 3)} and type(a.c[0]) is Q
+    assert type((lp({2: 1}) * Q(1, 2)).c[2]) is Q
+
+
+def test_int_and_fraction_built_polys_agree():
+    a, b = lp({0: 1, 4: -3}), lp({0: Q(1), 4: Q(-3)})
+    assert a == b and hash(a) == hash(b)
+    assert lp({0: Q(1)}).is_one
+
+
+def test_q_factorial_memoised_and_still_validates():
+    assert q_factorial(7) is q_factorial(7)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            q_factorial(-1)
+
+
+def test_exact_limits_stay_fractions():
+    assert type(limit_q1(q_factorial(4))) is Q
+    assert type(q_factorial(4).at_one()) is Q
+    assert all(type(v) is Q for v in taylor_coefficients(q_int(3), 3))
+
+
 # -- ring axioms (property-based) ------------------------------------------------
 
 coeffs = st.fractions(
@@ -185,6 +229,12 @@ def test_ring_axioms(a, b, c):
     assert a + LaurentPoly.zero() == a
     assert a * LaurentPoly.one() == a
     assert a - a == LaurentPoly.zero()
+
+
+@given(polys, polys)
+def test_ring_operations_keep_coefficients_normal(a, b):
+    assert _normal(a) and _normal(b)
+    assert _normal(a + b) and _normal(a - b) and _normal(a * b)
 
 
 @given(polys, polys)

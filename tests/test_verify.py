@@ -3,6 +3,7 @@ tables with series labels, vacuum-built bases, ladder actions, scalar
 series, structural invariants, classical degeneration, degeneracy
 resolution, pyramids and report serialization."""
 
+import hashlib
 import json
 from fractions import Fraction as Q
 
@@ -86,6 +87,32 @@ def test_check_relation_bad_mode(gens):
     with pytest.raises(ValueError, match="unknown mode"):
         check_relation(("qboson", "J-commutator"), mode="sideways",
                        gens=gens["qboson"])
+
+
+@pytest.mark.parametrize(
+    "rel", [("qboson", "J-commutator"), ("tensor", "script-N1 closed form")]
+)
+def test_check_relation_numeric_at_q_one_is_a_value_error(rel):
+    with pytest.raises(ValueError, match="0/0 at q = 1"):
+        check_relation(rel, 8, mode="numeric", q=1.0)
+
+
+def test_check_relation_exact_holds_at_cutoff_20():
+    r = check_relation(("qboson", "suq+ casimir chain lower-raise"), 20)
+    assert r.verdict == "Holds"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the numeric bound tol*(1 + 0.5*max|flip partner|)"
+    " does not grow with the cancelling [k]_2 terms, so rounding error"
+    " exceeds it at cutoff 20 (a false Fails at |18,0>)",
+)
+def test_check_relation_numeric_holds_at_cutoff_20():
+    r = check_relation(
+        ("qboson", "suq+ casimir chain lower-raise"), 20, mode="numeric", q=0.7
+    )
+    assert r.verdict == "Holds"
 
 
 def test_check_relation_string_needs_family():
@@ -443,3 +470,17 @@ def test_full_suite_small():
     assert "tensor" not in fams
     names = [(r.relation, r.mode) for r in reports]
     assert names == sorted(names)
+
+
+# SHA-256 of the seed's full_suite(8) reports (JSON, wall_ms stripped), the
+# value perfbench/digests.json records: a speedup must not change a byte.
+FULL_SUITE_8_SHA256 = "83ab176a2fce91c20cc2aa64f300ed370b51366c17e0166a8dc43f5f7696cefe"
+
+
+def test_full_suite_8_reports_byte_identical():
+    reports = [r.to_dict() for r in full_suite(8)]
+    for d in reports:
+        d.pop("wall_ms")
+    txt = json.dumps(reports, sort_keys=True, indent=2) + "\n"
+    assert len(reports) == 757
+    assert hashlib.sha256(txt.encode()).hexdigest() == FULL_SUITE_8_SHA256
