@@ -19,6 +19,7 @@ Exit codes: 0 all executed checks pass, 1 at least one check fails
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .algebras import (
     resolve_casimirs,
 )
 from .fock import FockSpace, FockState
-from .qnum import Q
+from .qnum import Q, require_q
 from .verify import (
     BASIS_CHECKS,
     DEFAULT_CUTOFF,
@@ -47,6 +48,7 @@ from .verify import (
     full_suite,
     pyramid_text,
     reports_to_json,
+    require_tol,
     spectrum_table_text,
     summarize,
 )
@@ -56,7 +58,8 @@ from .verify import (
 class CliConfig:
     """Common numeric settings shared by the commands.
 
-    Invariants: cutoff >= 4, at least one positive q sample, tol > 0.
+    Invariants: cutoff >= 4, at least one q sample, every q finite and
+    positive, tol finite and positive.
     """
 
     cutoff: int = DEFAULT_CUTOFF
@@ -69,15 +72,17 @@ class CliConfig:
             raise ValueError(f"cutoff must be >= 4; got {self.cutoff}")
         if not self.qs:
             raise ValueError("need at least one q sample")
-        if any(q <= 0 for q in self.qs):
-            raise ValueError("q samples must be positive")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive; got {self.tol}")
+        for q in self.qs:
+            require_q(q)
+        require_tol(self.tol)
 
 
 def _config(args) -> CliConfig:
     q = getattr(args, "q", None)
-    qs = tuple(q) if isinstance(q, list) else DEFAULT_QS
+    if q is None:
+        qs = DEFAULT_QS
+    else:
+        qs = tuple(q) if isinstance(q, list) else (q,)
     return CliConfig(
         cutoff=getattr(args, "cutoff", DEFAULT_CUTOFF),
         qs=qs,
@@ -367,8 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on the first call.
+
+    Building one leaves argparse's formatter cycles behind as garbage, so
+    a process that answers many questions builds it once.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)

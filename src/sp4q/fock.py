@@ -108,6 +108,8 @@ class FockSpace:
         self.states: tuple[FockState, ...] = tuple(
             FockState(n1, nu - n1) for nu in range(cutoff + 1) for n1 in range(nu + 1)
         )
+        # Shell numbers in enumeration order, for per-entry bounds checks.
+        self.nus: tuple[int, ...] = tuple(st.nu for st in self.states)
         self._index = {st: i for i, st in enumerate(self.states)}
 
     @property

@@ -26,6 +26,19 @@ needs no headroom below the cutoff.
 An identity that involves intermediate climbs of height c is trustworthy
 on the safe subspace nu <= cutoff - c; entries sourced above that may be
 corrupted by the cutoff.
+
+Accumulation: a product (``@``) keeps one owned coefficient dict per
+output entry.  The first product for an entry is copied into it; each
+later product is merged in place, term by term in its own order, by
+:func:`qnum.add_terms`; a coefficient that reaches 0 is deleted at once,
+and so is an entry whose dict empties.  Sums (``+``, ``-``) merge the
+same way into copies of the touched entries.  These are the dict steps
+that adding each product to the running LaurentPoly would take, without
+the copies, so the coefficient insertion order is the same.  That order
+matters: ``LaurentPoly.__call__`` sums floats in it, so the numeric
+residuals and ``eval`` output depend on it.  Keeping cancelled zeros and
+trimming once at the end would move a coefficient that cancels and then
+reappears, and change those floats.
 """
 
 from __future__ import annotations
@@ -36,7 +49,16 @@ from fractions import Fraction
 from typing import Callable
 
 from .fock import FockSpace, FockState
-from .qnum import LaurentPoly, ONE, Q, QRationalFn, q_factorial, q_power
+from .qnum import (
+    LaurentPoly,
+    ONE,
+    Q,
+    QRationalFn,
+    add_terms,
+    q_factorial,
+    q_power,
+    require_q,
+)
 
 Rule = Callable[[FockState], "tuple[FockState, LaurentPoly] | None"]
 
@@ -70,10 +92,11 @@ class QOperator:
     climb: int = 0
 
     def __post_init__(self):
+        nus = self.space.nus
         for (d, s), poly in self.entries.items():
             if poly.is_zero:
                 raise ValueError("zero entry stored in QOperator")
-            dn = self.space.states[d].nu - self.space.states[s].nu
+            dn = nus[d] - nus[s]
             if dn > self.nu_raise or -dn > self.nu_lower:
                 raise ValueError(
                     f"entry {(d, s)} violates declared bounds "
@@ -152,30 +175,30 @@ class QOperator:
             raise ValueError("cannot add operators with different sqrt flags")
         return self.sqrt_sq
 
-    def __add__(self, other: "QOperator") -> "QOperator":
+    def _plus(self, other: "QOperator", sign: int) -> "QOperator":
+        """self + sign * other, merging other's entries into a copy of
+        self's entry dict; entries other does not touch stay shared."""
         if self.space != other.space:
             raise ValueError("operators live on different spaces")
         flag = self._flag_compatible(other)
         if self.den == other.den:
-            den = self.den
-            entries = dict(self.entries)
-            for key, poly in other.entries.items():
-                acc = entries.get(key, LaurentPoly.zero()) + poly
-                if acc.is_zero:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = acc
+            den, mine, theirs = self.den, self.entries, other.entries
         else:
             den = self.den * other.den
-            entries = {}
-            for key, poly in self.entries.items():
-                entries[key] = poly * other.den
-            for key, poly in other.entries.items():
-                acc = entries.get(key, LaurentPoly.zero()) + poly * self.den
-                if acc.is_zero:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = acc
+            mine = _times(self.entries, other.den)
+            theirs = _times(other.entries, self.den)
+        entries = dict(mine)
+        for key, poly in theirs.items():
+            acc = entries.get(key)
+            if acc is None:
+                entries[key] = poly if sign > 0 else -poly
+                continue
+            c = dict(acc.c)
+            add_terms(c, poly.c, sign)
+            if c:
+                entries[key] = LaurentPoly._of(c)
+            else:
+                del entries[key]
         return QOperator(
             self.space,
             entries,
@@ -185,6 +208,9 @@ class QOperator:
             nu_lower=max(self.nu_lower, other.nu_lower),
             climb=max(self.climb, other.climb),
         )
+
+    def __add__(self, other: "QOperator") -> "QOperator":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "QOperator":
         return QOperator(
@@ -198,7 +224,7 @@ class QOperator:
         )
 
     def __sub__(self, other: "QOperator") -> "QOperator":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def scale(self, factor) -> "QOperator":
         """Multiply by an exact scalar (int, Fraction or LaurentPoly)."""
@@ -261,15 +287,23 @@ class QOperator:
         by_src: dict[int, list[tuple[int, LaurentPoly]]] = {}
         for (d, s), poly in self.entries.items():
             by_src.setdefault(s, []).append((d, poly))
-        entries: dict[tuple[int, int], LaurentPoly] = {}
+        # One owned coefficient dict per output entry, wrapped in place at
+        # the end; see the module docstring for why products are merged
+        # in place, in order.
+        entries: dict = {}
         for (mid, src), bpoly in other.entries.items():
             for dst, apoly in by_src.get(mid, ()):
                 key = (dst, src)
-                acc = entries.get(key, LaurentPoly.zero()) + apoly * bpoly
-                if acc.is_zero:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = acc
+                prod = (apoly * bpoly).c
+                c = entries.get(key)
+                if c is None:
+                    entries[key] = dict(prod)
+                    continue
+                add_terms(c, prod)
+                if not c:
+                    del entries[key]
+        for key, c in entries.items():
+            entries[key] = LaurentPoly._of(c)
         flag: LaurentPoly | None
         if self.sqrt_sq is None:
             flag = other.sqrt_sq
@@ -317,8 +351,11 @@ class QOperator:
         )
 
 
-def compose(a: QOperator, b: QOperator) -> QOperator:
-    return a @ b
+def _times(entries: dict, factor: LaurentPoly) -> dict:
+    """Every entry times factor; the same dict when factor is 1."""
+    if factor.is_one:
+        return entries
+    return {key: poly * factor for key, poly in entries.items()}
 
 
 def q_commutator(a: QOperator, b: QOperator, rho: Fraction | int = 0) -> QOperator:
@@ -337,8 +374,9 @@ def first_witness(
     """First (in enumeration order) nonzero entry sourced inside the safe
     subspace, as (src, dst, entry)."""
     best = None
+    nus = op.space.nus
     for (d, s), poly in op.entries.items():
-        if op.space.states[s].nu > sub.max_nu:
+        if nus[s] > sub.max_nu:
             continue
         if best is None or (s, d) < best[:2]:
             best = (s, d, poly)
@@ -358,8 +396,9 @@ def diagonal_spectrum(
     if op.sqrt_sq is not None:
         raise ValueError("diagonal_spectrum on a sqrt-flagged operator")
     values: dict[int, LaurentPoly] = {}
+    nus = op.space.nus
     for (d, s), poly in op.entries.items():
-        if op.space.states[s].nu > sub.max_nu:
+        if nus[s] > sub.max_nu:
             continue
         if d != s:
             raise ValueError(
@@ -488,8 +527,9 @@ class NumOp:
 
     def max_abs_on(self, sub: SafeSubspace) -> float:
         out = 0.0
+        nus = self.space.nus
         for (d, s), v in self.entries.items():
-            if self.space.states[s].nu <= sub.max_nu:
+            if nus[s] <= sub.max_nu:
                 out = max(out, abs(v))
         return out
 
@@ -504,8 +544,7 @@ def basis_norms(
 ) -> list[float]:
     """The norms sqrt(G_st(q)) of the monomial basis states, in
     enumeration order."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    require_q(q)
     return [math.sqrt(gram_fn(st)(q)) for st in space.states]
 
 
@@ -521,8 +560,7 @@ def to_numeric(
     flag base when present).  ``norms`` are the basis norms of
     :func:`basis_norms` at this q, if already computed.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    require_q(q)
     if norms is None:
         norms = basis_norms(op.space, q, gram_fn)
     den = op.den(q)

@@ -37,6 +37,34 @@ def _integral(v: Fraction) -> Scalar:
     return v.numerator if v.denominator == 1 else v
 
 
+def add_terms(c: dict[int, Scalar], terms: Mapping[int, Scalar], sign: int = 1) -> None:
+    """Add ``sign * terms`` into the coefficient dict ``c`` in place.
+
+    Term by term in the order of ``terms``: a new exponent is appended, a
+    coefficient that reaches 0 is deleted at once (if it reappears later
+    it is appended again), and an integral ``Fraction`` is stored as an
+    ``int``.  So ``c`` ends up as the dict, key order included, of
+    ``LaurentPoly(c) + sign * LaurentPoly(terms)``.
+    """
+    get = c.get
+    for k, v in terms.items():
+        w = get(k, 0) + v if sign > 0 else get(k, 0) - v
+        if w:
+            c[k] = _integral(w) if type(w) is Fraction else w
+        elif k in c:
+            del c[k]
+
+
+def require_q(q: float) -> None:
+    """Raise ValueError unless q is a finite positive number.
+
+    Every numeric entry point checks its q here.  A NaN q would compare
+    false with every tolerance, so every numeric check would pass.
+    """
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"q must be finite and positive; got {q!r}")
+
+
 class LaurentPoly:
     """Laurent polynomial in s = q^(1/4) with rational coefficients.
 
@@ -123,12 +151,7 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         c = dict(self.c)
-        for k, v in other.c.items():
-            w = c.get(k, 0) + v
-            if w:
-                c[k] = _integral(w) if type(w) is Fraction else w
-            elif k in c:
-                del c[k]
+        add_terms(c, other.c)
         return LaurentPoly._of(c)
 
     __radd__ = __add__
@@ -137,7 +160,9 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        c = dict(self.c)
+        add_terms(c, other.c, -1)
+        return LaurentPoly._of(c)
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -149,10 +174,22 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self.c, other.c
         c: dict[int, Scalar] = {}
+        if len(b) == 1 or len(a) == 1:
+            # One-term operand (q-powers, diagonals, constants): the keys of
+            # the general loop below never collide, so it reduces to one
+            # pass over the other operand, in that operand's order.
+            if len(a) == 1:
+                a, b = b, a
+            ((e, v2),) = b.items()
+            for k, v1 in a.items():
+                w = v1 * v2
+                c[k + e] = _integral(w) if type(w) is Fraction else w
+            return LaurentPoly._of(c)
         get = c.get
-        b = other.c.items()
-        for k1, v1 in self.c.items():
+        b = b.items()
+        for k1, v1 in a.items():
             for k2, v2 in b:
                 k = k1 + k2
                 w = get(k, 0) + v1 * v2
@@ -394,8 +431,7 @@ def q_bracket(x: Scalar, m: int = 1) -> QRationalFn:
 
 def eval_at(p, q: float) -> float:
     """Evaluate a LaurentPoly or QRationalFn at a numeric q > 0."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    require_q(q)
     return p(q)
 
 

@@ -15,6 +15,7 @@ that expectation in.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -55,6 +56,7 @@ from .qnum import (
     q_factorial,
     q_int,
     q_power,
+    require_q,
     taylor_coefficients,
 )
 
@@ -75,6 +77,16 @@ PYRAMID_LABELS = ("pairs", "triple-min", "triple-max")
 
 def numeric_mode(q: float) -> str:
     return f"NumericAt({q:g})"
+
+
+def require_tol(tol: float) -> None:
+    """Raise ValueError unless tol is a finite positive number.
+
+    No residual is ever within a NaN bound, so without this check a NaN
+    tol would leave a numeric check with no witness to report.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive; got {tol!r}")
 
 
 class NotDiagonalError(ValueError):
@@ -260,6 +272,7 @@ def check_relation(
     the relation, which must turn the verdict to Fails for any relation
     that genuinely constrains its coefficients.
     """
+    require_tol(tol)
     rel = _resolve_relation(rel, family)
     if gens is None:
         gens = build(rel.family, FockSpace(cutoff))
@@ -281,6 +294,7 @@ def check_all(
     gens: GeneratorSet | None = None,
 ) -> list[Report]:
     """Exact plus numeric sweep of one family's full relation catalog."""
+    require_tol(tol)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     if cutoff < 8:
@@ -393,6 +407,8 @@ def casimir_table(
     (negative-root convention) where one exists, and the numeric value
     when ``q`` is given (q = 1 is evaluated as the exact limit).
     """
+    if q is not None:
+        require_q(q)
     fam = casimir_family(name)
     if gens is None:
         gens = build(fam, FockSpace(cutoff))
@@ -477,6 +493,9 @@ def check_casimir_spectrum(
 ) -> Report:
     """Exact match of a casimir's spectrum against its closed form, plus
     numeric agreement of the two evaluations at sampled q."""
+    require_tol(tol)
+    for qv in qs:
+        require_q(qv)
     t0 = time.perf_counter()
     fam = casimir_family(name)
     if gens is None:
@@ -998,6 +1017,7 @@ def check_ladder_actions(
     """The four displayed ladder-operator actions, their endpoint
     identities, the squared normalized matrix elements, the L0 weight
     eigenvalue, and numeric signed values at sampled q."""
+    require_tol(tol)
     if gens is None:
         gens = build("tensor", FockSpace(cutoff))
     cutoff = gens.space.cutoff
@@ -1429,6 +1449,7 @@ def full_suite(
     """Everything relevant to the requested families: catalog, structure,
     casimir spectra, bases and ladders (tensor), scalar series, classical
     degeneration, and degeneracy resolution.  Sorted by (relation, mode)."""
+    require_tol(tol)
     reports: list[Report] = []
     mutated_somewhere = False
     for family in families:

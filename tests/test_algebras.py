@@ -215,7 +215,7 @@ def test_numeric_context_matches_exact(spaces):
 
 
 def test_numeric_context_rejects_bad_q(spaces):
-    for q in (0.0, -2.0):
+    for q in (0.0, -2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive"):
             numeric_context(spaces["tensor"], q)
     # the generators need no bracket at q = 1, and classical brackets are n

@@ -1,13 +1,14 @@
 """Tests for the command-line interface: exit codes, output formats,
 golden byte-matches, the report directory, and usage errors."""
 
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
-from sp4q.cli import CliConfig, main
+from sp4q.cli import CliConfig, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +35,12 @@ def test_config_defaults():
         {"qs": ()},
         {"qs": (0.7, -1.0)},
         {"tol": 0.0},
+        {"qs": (0.0,)},
+        {"qs": (float("nan"),)},
+        {"qs": (0.7, float("inf"))},
+        {"tol": -1.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
     ],
 )
 def test_config_invariants(kwargs):
@@ -260,6 +267,59 @@ def test_verify_at_q_one_is_a_usage_error(capsys):
 def test_usage_errors_exit_two(capsys, argv):
     rc, _, _ = run_cli(capsys, *argv)
     assert rc == 2
+
+
+BAD_Q = ("nan", "inf", "0", "-1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--family", "classical", "--cutoff", "8", "--q", q) for q in BAD_Q]
+    + [("eval", "--family", "qboson", "--op", "Jp", "--state", "0,1", "--q", q)
+       for q in BAD_Q]
+    + [("spectrum", "--casimir", "J2", "--cutoff", "6", "--q", q) for q in BAD_Q],
+)
+def test_bad_q_exits_two_with_a_message(capsys, argv):
+    # a NaN q used to pass every numeric check, and q <= 0 crashed spectrum
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert "q must be finite and positive" in err and "Traceback" not in err
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_tol_exits_two_with_a_message(capsys, tol):
+    rc, out, err = run_cli(
+        capsys, "verify", "--family", "classical", "--cutoff", "8", "--tol", tol
+    )
+    assert rc == 2
+    assert "tol must be finite and positive" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_main_builds_its_parser_once(capsys):
+    argv = ("expand", "--family", "qboson", "--op", "Jp", "--state", "0,1",
+            "--cutoff", "6")
+    first = run_cli(capsys, *argv)
+    # Building a parser leaves argparse formatter cycles behind ...
+    gc.collect()
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        build_parser()
+        gc.collect()
+        built = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+        gc.garbage.clear()
+        # ... and a second main call must not build another one.
+        second = run_cli(capsys, *argv)
+        gc.collect()
+        left = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert built
+    assert first == second and first[0] == 0
+    assert left == []
 
 
 # -- console entry point ---------------------------------------------------------

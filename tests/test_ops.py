@@ -5,6 +5,8 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp4q.fock import FockSpace, FockState
 from sp4q.ops import (
@@ -197,9 +199,11 @@ def test_shared_basis_norms_give_identical_entries():
     norms = basis_norms(space, 1.3)
     assert norms[space.index(FockState(2, 0))] == math.sqrt(gram(FockState(2, 0))(1.3))
     assert to_numeric(ad1, 1.3, norms=norms).entries == to_numeric(ad1, 1.3).entries
-    for q in (0.0, -2.0):
+    for q in (0.0, -2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive"):
             basis_norms(space, q)
+        with pytest.raises(ValueError, match="positive"):
+            to_numeric(ad1, q, norms=norms)
 
 
 def test_numeric_composition_matches_exact():
@@ -228,3 +232,120 @@ def test_truncation_soundness_window_agreement():
             if large.states[s].nu <= window
         }
         assert by_state_small == by_state_large
+
+
+# -- fused accumulation against the unfused reference ---------------------------
+#
+# The reference below is the operator arithmetic as an explicit chain of
+# polynomial sums: each product or entry is added to a copy of the
+# accumulated coefficient dict (``entries.get(key, zero) + a * b``).  The
+# fused paths must give the same entries, the same coefficients and the
+# same insertion order of both, since the float sums of LaurentPoly.__call__
+# follow that order.
+
+
+def _ref_add(x: dict, y: dict) -> dict:
+    """Coefficient dict of LaurentPoly(x) + LaurentPoly(y), term by term."""
+    c = dict(x)
+    for k, v in y.items():
+        w = c.get(k, 0) + v
+        if w:
+            c[k] = w.numerator if type(w) is Q and w.denominator == 1 else w
+        elif k in c:
+            del c[k]
+    return c
+
+
+def _ref_accumulate(entries: dict, key, c: dict) -> None:
+    acc = _ref_add(entries.get(key, {}), c)
+    if acc:
+        entries[key] = acc
+    else:
+        entries.pop(key, None)
+
+
+def _ref_matmul(a: QOperator, b: QOperator) -> dict:
+    by_src = {}
+    for (d, s), poly in a.entries.items():
+        by_src.setdefault(s, []).append((d, poly))
+    entries = {}
+    for (mid, src), bpoly in b.entries.items():
+        for dst, apoly in by_src.get(mid, ()):
+            _ref_accumulate(entries, (dst, src), (apoly * bpoly).c)
+    return entries
+
+
+def _ref_plus(a: QOperator, b: QOperator, sign: int) -> dict:
+    def signed(poly):
+        return poly.c if sign > 0 else {k: -v for k, v in poly.c.items()}
+
+    if a.den == b.den:
+        entries = {key: poly.c for key, poly in a.entries.items()}
+        for key, poly in b.entries.items():
+            _ref_accumulate(entries, key, signed(poly))
+        return entries
+    entries = {key: (poly * b.den).c for key, poly in a.entries.items()}
+    for key, poly in b.entries.items():
+        _ref_accumulate(entries, key, (LaurentPoly._of(signed(poly)) * a.den).c)
+    return entries
+
+
+def _layout(entries: dict) -> list:
+    """Entry keys and every coefficient with its type, in insertion order;
+    entries are LaurentPoly or coefficient dicts."""
+    return [
+        (key, [(k, v, type(v)) for k, v in getattr(c, "c", c).items()])
+        for key, c in entries.items()
+    ]
+
+
+# Few states, exponents and coefficient values, so that products collide
+# and cancel often, and a cancelled coefficient may come back.
+_SPACE = FockSpace(2)
+_coeff = st.sampled_from([1, -1, 2, -2, 3, Q(1, 2), Q(-1, 2), Q(3, 2), Q(-2, 3)])
+_poly = st.dictionaries(
+    st.integers(min_value=-3, max_value=3), _coeff, min_size=1, max_size=4
+).map(LaurentPoly)
+_index = st.integers(min_value=0, max_value=_SPACE.dimension - 1)
+_entries = st.dictionaries(st.tuples(_index, _index), _poly, max_size=12)
+_den = st.sampled_from([ONE, q_int(2), LaurentPoly({4: 1}), LaurentPoly({0: Q(1, 2)})])
+
+
+def _op(entries: dict, den=ONE) -> QOperator:
+    return QOperator(_SPACE, entries, den=den, nu_raise=2, nu_lower=2)
+
+
+@st.composite
+def _operator_pairs(draw):
+    """Two operators; the second repeats some entries of the first, negated
+    or not, so that sums cancel whole entries and single coefficients."""
+    a = draw(_entries)
+    b = draw(_entries)
+    for key in draw(st.lists(st.sampled_from(sorted(a)), max_size=4)) if a else ():
+        b[key] = draw(st.sampled_from([a[key], -a[key], a[key] + b.get(key, ONE)]))
+    b = {key: poly for key, poly in b.items() if poly}
+    return _op(a, draw(_den)), _op(b, draw(_den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operator_pairs())
+def test_fused_matmul_matches_reference(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _layout((x @ y).entries) == _layout(_ref_matmul(x, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operator_pairs())
+def test_fused_add_and_sub_match_reference(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _layout((x + y).entries) == _layout(_ref_plus(x, y, 1))
+        assert _layout((x - y).entries) == _layout(_ref_plus(x, y, -1))
+
+
+def test_sums_share_untouched_entries():
+    space = FockSpace(3)
+    a, b = creator(space, 1), creator(space, -1)
+    for total in (a + b, a - b):
+        assert all(total.entries[key] is poly for key, poly in a.entries.items())

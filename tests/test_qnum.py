@@ -134,8 +134,9 @@ def test_eval_matches_closed_form():
 
 
 def test_eval_rejects_nonpositive_q():
-    with pytest.raises(ValueError):
-        eval_at(q_int(2), 0.0)
+    for q in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            eval_at(q_int(2), q)
 
 
 def test_limit_q1():
@@ -255,3 +256,44 @@ def test_rational_fn_cross_equality(a, b, c):
     if b.is_zero or c.is_zero:
         return
     assert QRationalFn(a, b) == QRationalFn(a * c, b * c)
+
+
+# -- one-term products against the general product loop --------------------------
+
+
+def _ref_mul(x: dict, y: dict) -> list:
+    """Coefficients (with types) of the general term-by-term product loop,
+    in insertion order."""
+    c = {}
+    for k1, v1 in x.items():
+        for k2, v2 in y.items():
+            k = k1 + k2
+            w = c.get(k, 0) + v1 * v2
+            if w:
+                c[k] = w
+            elif k in c:
+                del c[k]
+    out = []
+    for k, w in c.items():
+        if type(w) is Q and w.denominator == 1:
+            w = w.numerator
+        out.append((k, w, type(w)))
+    return out
+
+
+monomials = st.builds(
+    lambda e, v: LaurentPoly({e: v}),
+    st.integers(min_value=-8, max_value=8),
+    coeffs.filter(bool),
+)
+
+
+@given(polys, monomials)
+def test_one_term_products_match_general_loop(a, m):
+    for x, y in ((a, m), (m, a), (m, m)):
+        got = [(k, v, type(v)) for k, v in (x * y).c.items()]
+        assert got == _ref_mul(x.c, y.c)
+    assert [(k, v, type(v)) for k, v in (a * 3).c.items()] == _ref_mul(a.c, {0: 3})
+    assert [(k, v, type(v)) for k, v in (Q(1, 2) * a).c.items()] == _ref_mul(
+        a.c, {0: Q(1, 2)}
+    )

@@ -97,6 +97,36 @@ def test_check_relation_numeric_at_q_one_is_a_value_error(rel):
         check_relation(rel, 8, mode="numeric", q=1.0)
 
 
+BAD_QS = (float("nan"), float("inf"), 0.0, -1.0)
+
+
+@pytest.mark.parametrize("q", BAD_QS)
+def test_numeric_checks_reject_bad_q(q):
+    # a NaN q compared false with every bound, so even a mutated relation
+    # used to report Holds
+    with pytest.raises(ValueError, match="q must be finite and positive"):
+        check_relation(("qboson", "suq+ casimir chain lower-raise"), 8,
+                       mode="numeric", q=q, mutate=True)
+    with pytest.raises(ValueError, match="q must be finite and positive"):
+        casimir_table("J2", 6, q=q)
+    with pytest.raises(ValueError, match="q must be finite and positive"):
+        check_casimir_spectrum("J2", 6, qs=(0.7, q))
+
+
+@pytest.mark.parametrize("tol", (float("nan"), float("inf"), 0.0, -1e-10))
+def test_checks_reject_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        check_relation(("qboson", "J-commutator"), 8, mode="numeric", tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        check_all("classical", 8, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        full_suite(8, tol=tol, families=("classical",))
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        check_ladder_actions(8, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        check_casimir_spectrum("J2", 6, tol=tol)
+
+
 def test_check_relation_exact_holds_at_cutoff_20():
     r = check_relation(("qboson", "suq+ casimir chain lower-raise"), 20)
     assert r.verdict == "Holds"
@@ -484,3 +514,18 @@ def test_full_suite_8_reports_byte_identical():
     txt = json.dumps(reports, sort_keys=True, indent=2) + "\n"
     assert len(reports) == 757
     assert hashlib.sha256(txt.encode()).hexdigest() == FULL_SUITE_8_SHA256
+
+
+# The same recipe at cutoff 12, recorded before the fused multiply-accumulate
+# in the operator layer: reordering a coefficient sum would change the
+# float residuals of the numeric reports, and so this digest.
+FULL_SUITE_12_SHA256 = "2235003e3f52c173293a23c67b1662908a0bf070e7ea93748c681c542872a9f2"
+
+
+def test_full_suite_12_reports_byte_identical():
+    reports = [r.to_dict() for r in full_suite(12)]
+    for d in reports:
+        d.pop("wall_ms")
+    txt = json.dumps(reports, sort_keys=True, indent=2) + "\n"
+    assert len(reports) == 757
+    assert hashlib.sha256(txt.encode()).hexdigest() == FULL_SUITE_12_SHA256
