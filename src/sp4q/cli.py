@@ -36,6 +36,7 @@ from .fock import FockSpace, FockState
 from .qnum import Q, require_q
 from .verify import (
     BASIS_CHECKS,
+    CASIMIR_SECTORS,
     DEFAULT_CUTOFF,
     DEFAULT_QS,
     DEFAULT_TOL,
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {', '.join(CASIMIR_NAMES)} or an alias")
     g.add_argument("--table", choices=SPECTRUM_TABLE_KEYS,
                    help="one of the discrete-series tables")
-    p.add_argument("--sector", choices=("all", "even", "odd"), default="all")
+    p.add_argument("--sector", choices=CASIMIR_SECTORS, default="all")
     p.add_argument("--q", type=float, default=None,
                    help="also evaluate numerically at this q"
                         " (q = 1 via the exact limit)")

@@ -6,14 +6,21 @@ the discrete-series spectrum tables and pyramid diagrams, and checks the
 vacuum-built bases, the ladder-operator actions, the scalar series
 expansions, structural invariants, and the q -> 1 degeneration.
 
-Every check returns a :class:`Report`; a ``Fails`` verdict always names a
-witness state and the offending residual.  Entries of the catalog marked
-as recorded variant readings are *expected* to fail; ``Report.ok`` folds
-that expectation in.
+Every check returns a :class:`Report`, and one helper builds them all
+from the check's start time and its first failure; a ``Fails`` verdict
+always names a witness state and the offending residual.  Entries of the
+catalog marked as recorded variant readings are *expected* to fail;
+``Report.ok`` folds that expectation in.
+
+Each check takes an optional ``gens=`` generator set and builds its own
+when none is given.  :func:`full_suite` builds one truncated space and,
+on first use, one generator set per family, and passes them to every
+check, since all three families act in the same Fock space.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 from .algebras import (
     CASIMIR_NAMES,
     FAMILIES,
+    ClassicalContext,
     GeneratorSet,
     Relation,
     build,
@@ -29,7 +37,6 @@ from .algebras import (
     casimir,
     casimir_family,
     classical_counterparts,
-    classical_limit_context,
     exact_context,
     find_relation,
     numeric_context,
@@ -71,6 +78,7 @@ DEFAULT_TOL = 1e-10
 SCALAR_TOL = 1e-12
 
 BASIS_CHECKS = ("ts", "spb_minN0", "spb_maxN0", "eta", "rtt")
+CASIMIR_SECTORS = ("all", "even", "odd")
 SPECTRUM_TABLE_KEYS = ("phi-ladder", "alpha-discrete", "phi-q", "qphi-alpha")
 PYRAMID_LABELS = ("pairs", "triple-min", "triple-max")
 
@@ -166,14 +174,53 @@ def _sort_reports(reports) -> list[Report]:
     return sorted(reports, key=lambda r: (r.relation, r.mode, r.family))
 
 
+def _report(t0: float, bad, relation: str, family: str, anchor: str, mode: str,
+            cutoff: int, safe_nu: int, *, expected: bool = True,
+            note: str | None = None, share: int = 1) -> Report:
+    """The report of a check started at ``t0 = time.perf_counter()``: Holds
+    when ``bad`` is None, else Fails with ``bad = (witness, residual)``.
+    ``share`` splits one timed pass evenly over the reports it yields.  In
+    ``_report(time.perf_counter(), check(), ...)`` the clock starts before
+    the check runs, since arguments are evaluated left to right."""
+    witness, residual = bad or (None, None)
+    return Report(
+        relation, family, anchor, mode, cutoff, safe_nu,
+        "Holds" if bad is None else "Fails",
+        (time.perf_counter() - t0) * 1e3 / share,
+        witness=witness, residual=residual, expected=expected, note=note,
+    )
+
+
+def _gens(family: str, cutoff: int, gens: GeneratorSet | None) -> GeneratorSet:
+    """The generator set a check runs on: ``gens`` when given, which must
+    be of ``family``, else a new build on FockSpace(cutoff)."""
+    if gens is None:
+        return build(family, FockSpace(cutoff))
+    if gens.family != family:
+        raise ValueError(
+            f"gens= holds the {gens.family!r} family; this check needs {family!r}")
+    return gens
+
+
+def _shared_sets(cutoff: int):
+    """family -> its generator set, each built once, on first use, on one
+    FockSpace(cutoff)."""
+    space = FockSpace(cutoff)
+    return functools.cache(lambda family: build(family, space))
+
+
 # -- relation checks -----------------------------------------------------------
 
 
-def _require_cutoff(name: str, cutoff: int, reach: int) -> None:
-    if cutoff < reach + 2:
+def _window(name: str, space: FockSpace, res) -> SafeSubspace:
+    """The states on which a residual is conclusive: those whose images
+    stay inside the cutoff, given how far the residual climbs in nu."""
+    reach = max(res.climb, 0)
+    if space.cutoff < reach + 2:
         raise ValueError(
-            f"{name!r} needs cutoff >= {reach + 2} (reach {reach}); got {cutoff}"
+            f"{name!r} needs cutoff >= {reach + 2} (reach {reach}); got {space.cutoff}"
         )
+    return SafeSubspace(space, space.cutoff - reach)
 
 
 def _residual_str(res, poly) -> str:
@@ -186,60 +233,35 @@ def _residual_str(res, poly) -> str:
 
 
 def _check_exact(rel: Relation, ctx, flip: bool = False) -> Report:
-    cutoff = ctx.space.cutoff
     t0 = time.perf_counter()
     res = rel.builder(ctx, flip)
-    reach = max(res.climb, 0)
-    _require_cutoff(rel.name, cutoff, reach)
-    window = SafeSubspace(ctx.space, cutoff - reach)
+    window = _window(rel.name, ctx.space, res)
     hit = first_witness(res, window)
-    wall = (time.perf_counter() - t0) * 1e3
+    bad = None if hit is None else (f"{hit[0]} -> {hit[1]}", _residual_str(res, hit[2]))
     mode = MODE_SQUARED if res.sqrt_sq is not None else MODE_EXACT
-    if hit is None:
-        return Report(
-            rel.name, rel.family, rel.anchor, mode, cutoff, window.max_nu,
-            "Holds", wall, expected=rel.expect_holds, note=rel.note,
-        )
-    src, dst, poly = hit
-    return Report(
-        rel.name, rel.family, rel.anchor, mode, cutoff, window.max_nu,
-        "Fails", wall, witness=f"{src} -> {dst}",
-        residual=_residual_str(res, poly),
-        expected=rel.expect_holds, note=rel.note,
-    )
+    return _report(t0, bad, rel.name, rel.family, rel.anchor, mode, ctx.space.cutoff,
+                   window.max_nu, expected=rel.expect_holds, note=rel.note)
 
 
 def _check_numeric(rel: Relation, nctx, tol: float, flip: bool = False) -> Report:
-    cutoff = nctx.space.cutoff
     t0 = time.perf_counter()
     res = rel.builder(nctx, flip)
-    reach = max(res.climb, 0)
-    _require_cutoff(rel.name, cutoff, reach)
-    window = SafeSubspace(nctx.space, cutoff - reach)
+    window = _window(rel.name, nctx.space, res)
     # The flip partner restores the cancelled term, so half its peak
     # magnitude estimates the size of either side of the identity.
     partner = rel.builder(nctx, not flip)
     bound = tol * (1.0 + 0.5 * partner.max_abs_on(window))
     worst, pair = 0.0, None
     for (d, s), v in res.entries.items():
-        if nctx.space.states[s].nu > window.max_nu:
-            continue
-        if abs(v) > worst:
+        if nctx.space.nus[s] <= window.max_nu and abs(v) > worst:
             worst, pair = abs(v), (s, d)
-    wall = (time.perf_counter() - t0) * 1e3
-    mode = numeric_mode(nctx.q)
-    if worst <= bound:
-        return Report(
-            rel.name, rel.family, rel.anchor, mode, cutoff, window.max_nu,
-            "Holds", wall, expected=rel.expect_holds, note=rel.note,
-        )
-    src, dst = nctx.space.states[pair[0]], nctx.space.states[pair[1]]
-    return Report(
-        rel.name, rel.family, rel.anchor, mode, cutoff, window.max_nu,
-        "Fails", wall, witness=f"{src} -> {dst}",
-        residual=f"{worst:.6e} > tol {bound:.6e}",
-        expected=rel.expect_holds, note=rel.note,
-    )
+    bad = None
+    if not worst <= bound:
+        src, dst = nctx.space.states[pair[0]], nctx.space.states[pair[1]]
+        bad = (f"{src} -> {dst}", f"{worst:.6e} > tol {bound:.6e}")
+    return _report(t0, bad, rel.name, rel.family, rel.anchor, numeric_mode(nctx.q),
+                   nctx.space.cutoff, window.max_nu, expected=rel.expect_holds,
+                   note=rel.note)
 
 
 def _resolve_relation(rel, family: str | None = None) -> Relation:
@@ -274,8 +296,7 @@ def check_relation(
     """
     require_tol(tol)
     rel = _resolve_relation(rel, family)
-    if gens is None:
-        gens = build(rel.family, FockSpace(cutoff))
+    gens = _gens(rel.family, cutoff, gens)
     if mode == "exact":
         return _check_exact(rel, exact_context(gens), flip=mutate)
     if mode == "numeric":
@@ -302,8 +323,7 @@ def check_all(
     rels = relation_catalog(family) if include_variants else canonical_relations(family)
     if mutate is not None:
         find_relation(family, mutate)  # raises KeyError for unknown names
-    if gens is None:
-        gens = build(family, FockSpace(cutoff))
+    gens = _gens(family, cutoff, gens)
     ctx = exact_context(gens)
     nctxs = [numeric_context(gens, q) for q in qs]
     reports = []
@@ -407,11 +427,12 @@ def casimir_table(
     (negative-root convention) where one exists, and the numeric value
     when ``q`` is given (q = 1 is evaluated as the exact limit).
     """
+    if sector not in CASIMIR_SECTORS:
+        raise ValueError(f"unknown sector {sector!r}; choose from {CASIMIR_SECTORS}")
     if q is not None:
         require_q(q)
     fam = casimir_family(name)
-    if gens is None:
-        gens = build(fam, FockSpace(cutoff))
+    gens = _gens(fam, cutoff, gens)
     op = casimir(name, gens, weights=weights)
     safe_nu = gens.space.cutoff - max(op.climb, 0)
     if safe_nu < 0:
@@ -423,22 +444,13 @@ def casimir_table(
         raise NotDiagonalError(f"casimir {name}: {exc}") from None
     rows = []
     for st, val in spec:
-        if sector == "even" and st.parity != 0:
-            continue
-        if sector == "odd" and st.parity != 1:
+        if sector != "all" and st.parity != (1 if sector == "odd" else 0):
             continue
         numeric = None
         if q is not None:
             numeric = float(limit_q1(val)) if q == 1.0 else val(q)
-        rows.append(
-            SpectrumRow(
-                label=f"nu={st.nu} m={_frac_str(st.m)} {st}",
-                state=st,
-                exact=val,
-                series=_series_label(name, st, val),
-                numeric=numeric,
-            )
-        )
+        rows.append(SpectrumRow(f"nu={st.nu} m={_frac_str(st.m)} {st}", st, val,
+                                _series_label(name, st, val), numeric))
     title = f"{name} spectrum (family {fam}, cutoff {gens.space.cutoff}, nu <= {safe_nu})"
     return SpectrumTable(title, tuple(rows), safe_nu)
 
@@ -498,35 +510,27 @@ def check_casimir_spectrum(
         require_q(qv)
     t0 = time.perf_counter()
     fam = casimir_family(name)
-    if gens is None:
-        gens = build(fam, FockSpace(cutoff))
+    gens = _gens(fam, cutoff, gens)
     table = casimir_table(name, gens.space.cutoff, gens=gens, weights=weights)
     expect = casimir_closed_form(name, weights=weights)
-    verdict, witness, residual = "Holds", None, None
-    for row in table.rows:
-        want = expect(row.state)
-        if not (row.exact == want):
-            verdict, witness = "Fails", str(row.state)
-            residual = f"got {row.exact}; expected {want}"
-            break
-        if row.series is not None and "mismatch" in row.series:
-            verdict, witness = "Fails", str(row.state)
-            residual = f"series label root check failed: {row.series}"
-            break
-        for qv in qs:
-            got, ref = row.exact(qv), want(qv)
-            if abs(got - ref) > tol * (1.0 + abs(ref)):
-                verdict, witness = "Fails", str(row.state)
-                residual = f"numeric {got!r} vs {ref!r} at q={qv:g}"
-                break
-        if verdict == "Fails":
-            break
-    wall = (time.perf_counter() - t0) * 1e3
+
+    def first_failure():
+        for row in table.rows:
+            want = expect(row.state)
+            if not (row.exact == want):
+                return str(row.state), f"got {row.exact}; expected {want}"
+            if row.series is not None and "mismatch" in row.series:
+                return str(row.state), f"series label root check failed: {row.series}"
+            for qv in qs:
+                got, ref = row.exact(qv), want(qv)
+                if abs(got - ref) > tol * (1.0 + abs(ref)):
+                    return str(row.state), f"numeric {got!r} vs {ref!r} at q={qv:g}"
+        return None
+
     wtxt = "" if weights is None else f" weights={tuple(map(str, weights))}"
-    return Report(
-        f"casimir {name} closed form{wtxt}", fam, f"casimir:{name}",
-        MODE_EXACT, gens.space.cutoff, table.safe_nu, verdict, wall,
-        witness=witness, residual=residual,
+    return _report(
+        t0, first_failure(), f"casimir {name} closed form{wtxt}", fam,
+        f"casimir:{name}", MODE_EXACT, gens.space.cutoff, table.safe_nu,
     )
 
 
@@ -566,15 +570,11 @@ def spectrum_table_text(key: str, cutoff: int = DEFAULT_CUTOFF) -> str:
     spectrum and checked against the quadratic-solution rule before
     rendering; a failed check raises instead of printing a wrong table.
     """
-    if key == "phi-ladder":
-        return _table_phi_ladder(cutoff)
-    if key == "alpha-discrete":
-        return _table_alpha_discrete(cutoff)
-    if key == "phi-q":
-        return _table_phi_q(cutoff)
-    if key == "qphi-alpha":
-        return _table_qphi_alpha(cutoff)
-    raise ValueError(f"unknown table {key!r}; choose from {SPECTRUM_TABLE_KEYS}")
+    tables = {"phi-ladder": _table_phi_ladder, "alpha-discrete": _table_alpha_discrete,
+              "phi-q": _table_phi_q, "qphi-alpha": _table_qphi_alpha}
+    if key not in tables:
+        raise ValueError(f"unknown table {key!r}; choose from {SPECTRUM_TABLE_KEYS}")
+    return tables[key](cutoff)
 
 
 def _table_phi_ladder(cutoff: int) -> str:
@@ -773,12 +773,6 @@ def pyramid_text(labels: str = "pairs", sector: str = "even", rows: int = 4) -> 
 # -- basis constructions --------------------------------------------------------
 
 
-def _flags_equal(a: LaurentPoly | None, b: LaurentPoly | None) -> bool:
-    if (a is None) != (b is None):
-        return False
-    return True if a is None else a == b
-
-
 def _column_is(op, src: FockState, dst: FockState, want: LaurentPoly,
                want_flag: LaurentPoly | None = None) -> str | None:
     """None when op|src> = want|dst> exactly (single-entry column), else a
@@ -787,7 +781,7 @@ def _column_is(op, src: FockState, dst: FockState, want: LaurentPoly,
     col = {st: p for st, p in col.items() if not p.is_zero}
     if set(col) != {dst}:
         return f"image support {sorted(map(str, col))} != {{{dst}}}"
-    if not _flags_equal(op.sqrt_sq, want_flag):
+    if op.sqrt_sq != want_flag:
         return f"sqrt flag {op.sqrt_sq} != {want_flag}"
     if QRationalFn(col[dst], op.den) != QRationalFn(want):
         return f"coefficient ({col[dst]}) / ({op.den}) != {want}"
@@ -813,65 +807,55 @@ def _basis_ts(gens: GeneratorSet):
             want = q_power(Q(x - y, 4) + Q(x * y, 2))
             bad = _column_is(opxy, vac, FockState(x, y), want)
             if bad is not None:
-                return "Fails", f"|{x},{y}>", bad, count
+                return (f"|{x},{y}>", bad), count
             count += 1
-    return "Holds", None, None, count
+    return None, count
+
+
+def _triple_monomial(gens: GeneratorSet, n1: int, n0: int, nm1: int, dst: FockState):
+    """(T1)^n1 (T0)^n0 (T-1)^n-1, and None when it sends |0> to
+    q^E [2]^(n0//2) sqrt([2])^(n0%2) |dst>, else the reason it does not."""
+    op = gens["T1"].power(n1) @ gens["T0"].power(n0) @ gens["Tm1"].power(nm1)
+    want = q_power(_eta_exponent(n1, n0, nm1)) * q_int(2) ** (n0 // 2)
+    return op, _column_is(op, FockState(0, 0), dst, want, q_int(2) if n0 % 2 else None)
 
 
 def _basis_eta(gens: GeneratorSet):
     """(T1)^n1 (T0)^n0 (T-1)^n-1 |0> = q^E [2]^(n0//2) sqrt([2])^(n0%2)
     |2 n1 + n0, 2 n-1 + n0> with E = (n1 - n-1)/2 + n1 n0 + n-1 n0 + 2 n1 n-1."""
-    vac = FockState(0, 0)
     half_cut = gens.space.cutoff // 2
     count = 0
     for n1 in range(half_cut + 1):
         for n0 in range(half_cut + 1 - n1):
             for nm1 in range(half_cut + 1 - n1 - n0):
-                op = (
-                    gens["T1"].power(n1)
-                    @ gens["T0"].power(n0)
-                    @ gens["Tm1"].power(nm1)
-                )
                 dst = FockState(2 * n1 + n0, 2 * nm1 + n0)
-                want = q_power(_eta_exponent(n1, n0, nm1)) * q_int(2) ** (n0 // 2)
-                flag = q_int(2) if n0 % 2 else None
-                bad = _column_is(op, vac, dst, want, flag)
+                _, bad = _triple_monomial(gens, n1, n0, nm1, dst)
                 if bad is not None:
-                    return "Fails", f"|{n1},{n0},{nm1}>", bad, count
+                    return (f"|{n1},{n0},{nm1}>", bad), count
                 count += 1
-    return "Holds", None, None, count
+    return None, count
 
 
 def _basis_spb(gens: GeneratorSet, convention: TripleConvention):
     """Triple labels resolve every even state, and the labelled monomial
     lands on exactly that state with the stated coefficient and squared
     normalization q^(2E) [2]^n0 [nu1]! [nu-1]!."""
-    vac = FockState(0, 0)
     count = 0
     for st in gens.space.even_states():
         t = triple_from_pair(st, convention)
-        op = (
-            gens["T1"].power(t.n1)
-            @ gens["T0"].power(t.n0)
-            @ gens["Tm1"].power(t.nm1)
-        )
-        ee = _eta_exponent(t.n1, t.n0, t.nm1)
-        want = q_power(ee) * q_int(2) ** (t.n0 // 2)
-        flag = q_int(2) if t.n0 % 2 else None
-        bad = _column_is(op, vac, st, want, flag)
+        op, bad = _triple_monomial(gens, t.n1, t.n0, t.nm1, st)
+        if bad is None:
+            norm2 = gram_squared_element(op, st, FockState(0, 0))
+            stated = QRationalFn(
+                q_power(2 * _eta_exponent(t.n1, t.n0, t.nm1))
+                * q_int(2) ** t.n0 * q_factorial(st.n1) * q_factorial(st.nm1)
+            )
+            if not (norm2 == stated):
+                bad = f"norm^2 {norm2} != {stated}"
         if bad is not None:
-            return "Fails", f"{t} -> {st}", bad, count
-        norm2 = gram_squared_element(op, st, vac)
-        stated = QRationalFn(
-            q_power(2 * ee)
-            * q_int(2) ** t.n0
-            * q_factorial(st.n1)
-            * q_factorial(st.nm1)
-        )
-        if not (norm2 == stated):
-            return "Fails", f"{t} -> {st}", f"norm^2 {norm2} != {stated}", count
+            return (f"{t} -> {st}", bad), count
         count += 1
-    return "Holds", None, None, count
+    return None, count
 
 
 def _basis_rtt(gens: GeneratorSet):
@@ -886,12 +870,28 @@ def _basis_rtt(gens: GeneratorSet):
             lv = QRationalFn(lcol.get(st, LaurentPoly.zero()), lhs.den)
             rv = QRationalFn(rcol.get(st, LaurentPoly.zero()), rhs.den)
             if not (lv == rv):
-                return (
-                    "Fails", str(st),
-                    f"(T0)^2 vs q^{rho:+d}[2] {a} {b}: {lv} != {rv}", count,
-                )
+                return (str(st), f"(T0)^2 vs q^{rho:+d}[2] {a} {b}: {lv} != {rv}"), count
             count += 1
-    return "Holds", None, None, count
+    return None, count
+
+
+# which -> (mode, anchor, check, note), in BASIS_CHECKS order; each check
+# returns (first failure or None, instances checked).
+_BASIS_TABLE = {
+    "ts": (MODE_EXACT, "basis:ts", _basis_ts, None),
+    "spb_minN0": (
+        MODE_SQUARED, "basis:spb-min-n0",
+        lambda gens: _basis_spb(gens, TripleConvention.MIN_N0), None,
+    ),
+    "spb_maxN0": (
+        MODE_SQUARED, "basis:spb-max-n0",
+        lambda gens: _basis_spb(gens, TripleConvention.MAX_N0),
+        "mirror-branch coefficient verified as q^(-n_-1/2 + n_-1 n_0)"
+        " on |0,n0,n-1> states (corrected display)",
+    ),
+    "eta": (MODE_SQUARED, "basis:eta", _basis_eta, None),
+    "rtt": (MODE_EXACT, "basis:rtt", _basis_rtt, None),
+}
 
 
 def check_basis_construction(
@@ -909,48 +909,22 @@ def check_basis_construction(
     """
     if which not in BASIS_CHECKS:
         raise ValueError(f"unknown basis check {which!r}; choose from {BASIS_CHECKS}")
-    if cutoff < 6 and gens is None:
-        raise ValueError(f"check_basis_construction needs cutoff >= 6; got {cutoff}")
-    if gens is None:
-        gens = build("tensor", FockSpace(cutoff))
-    elif gens.space.cutoff < 6:
-        raise ValueError("check_basis_construction needs cutoff >= 6")
+    have = cutoff if gens is None else gens.space.cutoff
+    if have < 6:
+        raise ValueError(f"check_basis_construction needs cutoff >= 6; got {have}")
+    gens = _gens("tensor", cutoff, gens)
+    mode, anchor, check, note = _BASIS_TABLE[which]
     t0 = time.perf_counter()
-    note = None
-    if which == "ts":
-        verdict, witness, residual, count = _basis_ts(gens)
-        mode, anchor = MODE_EXACT, "basis:ts"
-    elif which == "eta":
-        verdict, witness, residual, count = _basis_eta(gens)
-        mode, anchor = MODE_SQUARED, "basis:eta"
-    elif which == "spb_minN0":
-        verdict, witness, residual, count = _basis_spb(gens, TripleConvention.MIN_N0)
-        mode, anchor = MODE_SQUARED, "basis:spb-min-n0"
-    elif which == "spb_maxN0":
-        verdict, witness, residual, count = _basis_spb(gens, TripleConvention.MAX_N0)
-        mode, anchor = MODE_SQUARED, "basis:spb-max-n0"
-        note = (
-            "mirror-branch coefficient verified as q^(-n_-1/2 + n_-1 n_0)"
-            " on |0,n0,n-1> states (corrected display)"
-        )
-    else:
-        verdict, witness, residual, count = _basis_rtt(gens)
-        mode, anchor = MODE_EXACT, "basis:rtt"
-    wall = (time.perf_counter() - t0) * 1e3
-    if verdict == "Holds":
+    bad, count = check(gens)
+    if bad is None:
         note = (note + "; " if note else "") + f"{count} instances"
-    return Report(
-        f"basis {which}", "tensor", anchor, mode,
-        gens.space.cutoff, gens.space.cutoff, verdict, wall,
-        witness=witness, residual=residual, note=note,
-    )
+    cutoff = gens.space.cutoff
+    return _report(t0, bad, f"basis {which}", "tensor", anchor, mode, cutoff,
+                   cutoff, note=note)
 
 
 def check_all_bases(cutoff: int = DEFAULT_CUTOFF, *, gens=None) -> list[Report]:
-    if gens is None:
-        if cutoff < 6:
-            raise ValueError(f"check_basis_construction needs cutoff >= 6; got {cutoff}")
-        gens = build("tensor", FockSpace(cutoff))
+    gens = _gens("tensor", cutoff, gens)
     return [check_basis_construction(w, gens=gens) for w in BASIS_CHECKS]
 
 
@@ -1018,24 +992,20 @@ def check_ladder_actions(
     identities, the squared normalized matrix elements, the L0 weight
     eigenvalue, and numeric signed values at sampled q."""
     require_tol(tol)
-    if gens is None:
-        gens = build("tensor", FockSpace(cutoff))
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"ladder checks need max_n >= 1; got {max_n}")
+    gens = _gens("tensor", cutoff, gens)
     cutoff = gens.space.cutoff
     if max_n is None:
         max_n = min(5, cutoff // 2)
     if cutoff < 2 * max_n:
         raise ValueError(f"ladder checks with n = {max_n} need cutoff >= {2 * max_n}")
-    reports = []
 
-    def make_report(name, verdict, wall, witness=None, residual=None,
-                    mode=MODE_EXACT, note=None):
-        reports.append(Report(
-            f"ladder {name}", "tensor", "ladder:L-actions", mode,
-            cutoff, cutoff, verdict, wall, witness=witness,
-            residual=residual, note=note,
-        ))
+    def report(t0, bad, name, mode=MODE_EXACT, note=None, share=1):
+        return _report(t0, bad, f"ladder {name}", "tensor", "ladder:L-actions",
+                       mode, cutoff, cutoff, note=note, share=share)
 
-    # exact columns, per displayed formula
+    # exact columns, per displayed formula: one pass yields five reports
     failures = {}
     sq_failure = None
     t0 = time.perf_counter()
@@ -1054,48 +1024,33 @@ def check_ladder_actions(
             sq = gram_squared_element(op, dst, src)
             if not (sq == sq_f(k)) and sq_failure is None:
                 sq_failure = (f"{src}, k={k} ({name})", f"{sq} != {sq_f(k)}")
-    wall = (time.perf_counter() - t0) * 1e3 / 5
-    for name in ("top-row lowering", "center lowering",
-                 "bottom-row raising", "center raising"):
-        bad = failures.get(name)
-        make_report(
-            name, "Fails" if bad else "Holds", wall,
-            witness=bad[0] if bad else None, residual=bad[1] if bad else None,
-            note="includes the k = 2n endpoint [2n]! identities"
-            if "row" in name else None,
-        )
-    make_report(
-        "squared elements", "Fails" if sq_failure else "Holds", wall,
-        witness=sq_failure[0] if sq_failure else None,
-        residual=sq_failure[1] if sq_failure else None,
-        mode=MODE_SQUARED,
-    )
+    reports = [
+        report(t0, failures.get(name), name, share=5,
+               note="includes the k = 2n endpoint [2n]! identities"
+               if "row" in name else None)
+        for name in ("top-row lowering", "center lowering",
+                     "bottom-row raising", "center raising")
+    ]
+    reports.append(report(t0, sq_failure, "squared elements", MODE_SQUARED, share=5))
 
     # L0 weight eigenvalue: (1/[2]) (q [nu1][nu-1 + 1] - q^-1 [nu-1][nu1 + 1])
-    t0 = time.perf_counter()
-    bad = None
-    full = SafeSubspace(gens.space, cutoff)
-    for st, val in diagonal_spectrum(gens["L01"], full):
-        want = QRationalFn(
-            q_power(1) * q_int(st.n1) * q_int(st.nm1 + 1)
-            - q_power(-1) * q_int(st.nm1) * q_int(st.n1 + 1),
-            q_int(2),
-        )
-        if not (val == want):
-            bad = (str(st), f"{val} != {want}")
-            break
-    make_report(
-        "weight eigenvalue", "Fails" if bad else "Holds",
-        (time.perf_counter() - t0) * 1e3,
-        witness=bad[0] if bad else None, residual=bad[1] if bad else None,
-    )
+    def weight_eigenvalue():
+        for st, val in diagonal_spectrum(gens["L01"], SafeSubspace(gens.space, cutoff)):
+            want = QRationalFn(
+                q_power(1) * q_int(st.n1) * q_int(st.nm1 + 1)
+                - q_power(-1) * q_int(st.nm1) * q_int(st.n1 + 1),
+                q_int(2),
+            )
+            if not (val == want):
+                return str(st), f"{val} != {want}"
+        return None
+
+    reports.append(report(time.perf_counter(), weight_eigenvalue(), "weight eigenvalue"))
 
     # numeric signed entries at sampled q: positive square root of the
     # squared normalized element, since the coefficients are positive at q > 0
-    for qv in qs:
-        t0 = time.perf_counter()
+    def numeric_entries(qv):
         nctx = numeric_context(gens, qv)
-        bad = None
         for name, opname, src, kmax, dst_f, exp_f, fact_f, sq_f in _ladder_cases(max_n):
             si = gens.space.index(src)
             nop = None
@@ -1104,16 +1059,12 @@ def check_ladder_actions(
                 got = nop.entries.get((gens.space.index(dst_f(k)), si), 0.0)
                 want = sq_f(k)(qv) ** 0.5
                 if abs(got - want) > tol * (1.0 + abs(want)):
-                    bad = (f"{src}, k={k} ({name})", f"{got!r} != {want!r}")
-                    break
-            if bad:
-                break
-        make_report(
-            f"numeric entries q={qv:g}", "Fails" if bad else "Holds",
-            (time.perf_counter() - t0) * 1e3,
-            witness=bad[0] if bad else None, residual=bad[1] if bad else None,
-            mode=numeric_mode(qv),
-        )
+                    return f"{src}, k={k} ({name})", f"{got!r} != {want!r}"
+        return None
+
+    for qv in qs:
+        reports.append(report(time.perf_counter(), numeric_entries(qv),
+                              f"numeric entries q={qv:g}", numeric_mode(qv)))
     return reports
 
 
@@ -1162,77 +1113,61 @@ def _scaling_check(poly, coeffs: list[Q], order: int) -> float:
 def check_series_expansions(max_n: int = 6) -> list[Report]:
     """Exact tau-Taylor coefficients and two-point remainder scaling for
     the bracket-ratio and bracket-power expansions."""
-    reports = []
-    pairs = [(nk, nmk) for nk in range(1, max_n + 1)
-             for nmk in range(1, max_n + 1) if nk + nmk <= max_n + 2]
-
-    def add(name, anchor, verdict, wall, mode, witness=None, residual=None):
-        reports.append(Report(
-            f"series {name}", "scalar", anchor, mode, 0, 0, verdict, wall,
-            witness=witness, residual=residual,
-            note="scalar series; no state-space truncation involved",
-        ))
+    if max_n < 1:
+        raise ValueError(f"series checks need max_n >= 1; got {max_n}")
+    pairs = [(nk, nmk, sign) for nk in range(1, max_n + 1)
+             for nmk in range(1, max_n + 1) if nk + nmk <= max_n + 2
+             for sign in (1, -1)]
 
     # [n]/n = 1 + (n^2 - 1)/6 tau^2 + ((n^4/10 - n^2/3 + 7/30)/12) tau^4 + O(tau^6)
-    t0 = time.perf_counter()
-    bad = None
-    for n in range(1, max_n + 1):
-        got = taylor_coefficients(q_bracket(n), 4)
-        want = [c * n for c in _bracket_ratio_coeffs(n)]
-        if got != want:
-            bad = (f"n={n}", f"{got} != {want}")
-            break
-    add("bracket ratio coefficients", "series:bracket-ratio",
-        "Fails" if bad else "Holds", (time.perf_counter() - t0) * 1e3,
-        MODE_TAYLOR, *(bad or (None, None)))
+    def ratio_coefficients():
+        for n in range(1, max_n + 1):
+            got = taylor_coefficients(q_bracket(n), 4)
+            want = [c * n for c in _bracket_ratio_coeffs(n)]
+            if got != want:
+                return f"n={n}", f"{got} != {want}"
+        return None
 
-    t0 = time.perf_counter()
-    bad = None
-    for n in range(1, max_n + 1):
-        ratio = QRationalFn(q_int(n), LaurentPoly.const(n))
-        excess = _scaling_check(ratio, _bracket_ratio_coeffs(n), order=5)
-        if excess > 1.0:
-            bad = (f"n={n}", f"remainder excess factor {excess:.3g}")
-            break
-    add("bracket ratio remainder", "series:bracket-ratio",
-        "Fails" if bad else "Holds", (time.perf_counter() - t0) * 1e3,
-        MODE_SCALING, *(bad or (None, None)))
+    def ratio_remainder():
+        for n in range(1, max_n + 1):
+            ratio = QRationalFn(q_int(n), LaurentPoly.const(n))
+            excess = _scaling_check(ratio, _bracket_ratio_coeffs(n), order=5)
+            if excess > 1.0:
+                return f"n={n}", f"remainder excess factor {excess:.3g}"
+        return None
 
     # [n_k] q^(+-n_-k) up to tau^3, remainder O(tau^4)
-    t0 = time.perf_counter()
-    bad = None
-    for nk, nmk in pairs:
-        for sign in (1, -1):
-            poly = q_int(nk).shifted(4 * sign * nmk)
-            got = taylor_coefficients(poly, 3)
+    def power_coefficients():
+        for nk, nmk, sign in pairs:
+            got = taylor_coefficients(q_int(nk).shifted(4 * sign * nmk), 3)
             want = _bracket_power_coeffs(nk, nmk, sign)
             if got != want:
-                bad = (f"n_k={nk}, n_-k={nmk}, sign={sign:+d}", f"{got} != {want}")
-                break
-        if bad:
-            break
-    add("bracket power coefficients", "series:bracket-power",
-        "Fails" if bad else "Holds", (time.perf_counter() - t0) * 1e3,
-        MODE_TAYLOR, *(bad or (None, None)))
+                return f"n_k={nk}, n_-k={nmk}, sign={sign:+d}", f"{got} != {want}"
+        return None
 
-    t0 = time.perf_counter()
-    bad = None
-    for nk, nmk in pairs:
-        for sign in (1, -1):
-            poly = q_int(nk).shifted(4 * sign * nmk)
-            excess = _scaling_check(
-                QRationalFn(poly), _bracket_power_coeffs(nk, nmk, sign), order=3
-            )
+    def power_remainder():
+        for nk, nmk, sign in pairs:
+            poly = QRationalFn(q_int(nk).shifted(4 * sign * nmk))
+            excess = _scaling_check(poly, _bracket_power_coeffs(nk, nmk, sign), order=3)
             if excess > 1.0:
-                bad = (f"n_k={nk}, n_-k={nmk}, sign={sign:+d}",
-                       f"remainder excess factor {excess:.3g}")
-                break
-        if bad:
-            break
-    add("bracket power remainder", "series:bracket-power",
-        "Fails" if bad else "Holds", (time.perf_counter() - t0) * 1e3,
-        MODE_SCALING, *(bad or (None, None)))
-    return reports
+                return (f"n_k={nk}, n_-k={nmk}, sign={sign:+d}",
+                        f"remainder excess factor {excess:.3g}")
+        return None
+
+    return [
+        _report(time.perf_counter(), check(), f"series {name}", "scalar", anchor,
+                mode, 0, 0, note="scalar series; no state-space truncation involved")
+        for name, anchor, mode, check in (
+            ("bracket ratio coefficients", "series:bracket-ratio", MODE_TAYLOR,
+             ratio_coefficients),
+            ("bracket ratio remainder", "series:bracket-ratio", MODE_SCALING,
+             ratio_remainder),
+            ("bracket power coefficients", "series:bracket-power", MODE_TAYLOR,
+             power_coefficients),
+            ("bracket power remainder", "series:bracket-power", MODE_SCALING,
+             power_remainder),
+        )
+    ]
 
 
 # -- structural invariants ------------------------------------------------------
@@ -1247,72 +1182,53 @@ def structural_checks(
 ) -> list[Report]:
     """Parity commutation, parity block-diagonality, homogeneous
     nu-grading, and numeric adjointness of the declared conjugate pairs."""
-    if gens is None:
-        gens = build(family, FockSpace(cutoff))
-    cutoff = gens.space.cutoff
+    gens = _gens(family, cutoff, gens)
     space = gens.space
-    full = SafeSubspace(space, cutoff)
-    reports = []
+    states = space.states
 
-    def add(name, verdict, wall, witness=None, residual=None,
-            mode=MODE_EXACT, note=None):
-        reports.append(Report(
-            f"structure {name}", family, f"structure:{name}", mode,
-            cutoff, cutoff, verdict, wall, witness=witness,
-            residual=residual, note=note,
-        ))
+    def parity_commutes():
+        full, parity_op = SafeSubspace(space, space.cutoff), gens["P"]
+        for name in gens.elements:
+            hit = first_witness(parity_op @ gens[name] - gens[name] @ parity_op, full)
+            if hit is not None:
+                return f"{name}: {hit[0]} -> {hit[1]}", str(hit[2])
+        return None
 
-    t0 = time.perf_counter()
-    parity_op = gens["P"]
-    bad = None
-    for name in gens.elements:
-        hit = first_witness(parity_op @ gens[name] - gens[name] @ parity_op, full)
-        if hit is not None:
-            bad = (f"{name}: {hit[0]} -> {hit[1]}", str(hit[2]))
-            break
-    add("parity commutes", "Fails" if bad else "Holds",
-        (time.perf_counter() - t0) * 1e3, *(bad or (None, None)))
+    def parity_blocks():
+        for name in gens.elements:
+            for (d, s) in gens[name].entries:
+                if states[d].parity != states[s].parity:
+                    return f"{name}: {states[s]} -> {states[d]}", "crosses the parity blocks"
+        return None
 
-    t0 = time.perf_counter()
-    bad = None
-    for name in gens.elements:
-        for (d, s) in gens[name].entries:
-            if space.states[d].parity != space.states[s].parity:
-                bad = (f"{name}: {space.states[s]} -> {space.states[d]}",
-                       "crosses the parity blocks")
-                break
-        if bad:
-            break
-    add("parity blocks", "Fails" if bad else "Holds",
-        (time.perf_counter() - t0) * 1e3, *(bad or (None, None)))
+    def nu_grading():
+        for name in gens.elements:
+            shifts = {states[d].nu - states[s].nu for (d, s) in gens[name].entries}
+            if len(shifts) > 1:
+                return name, f"mixed nu shifts {sorted(shifts)}"
+        return None
 
-    t0 = time.perf_counter()
-    bad = None
-    for name in gens.elements:
-        shifts = {space.states[d].nu - space.states[s].nu
-                  for (d, s) in gens[name].entries}
-        if len(shifts) > 1:
-            bad = (name, f"mixed nu shifts {sorted(shifts)}")
-            break
-    add("nu grading homogeneous", "Fails" if bad else "Holds",
-        (time.perf_counter() - t0) * 1e3, *(bad or (None, None)),
-        note="every element shifts nu by one fixed amount")
-
-    for qv in qs:
-        t0 = time.perf_counter()
+    def adjoint_pairs(qv):
         nctx = numeric_context(gens, qv)
-        bad = None
         for a, b in gens.adjoint_pairs:
             na, nb = nctx[a], nctx[b]
             worst = (na.transpose() - nb).max_abs()
             bound = 1e-12 * (1.0 + max(na.max_abs(), nb.max_abs()))
             if worst > bound:
-                bad = (f"({a})+ vs {b}", f"{worst:.6e} > tol {bound:.6e}")
-                break
-        add(f"adjoint pairs q={qv:g}", "Fails" if bad else "Holds",
-            (time.perf_counter() - t0) * 1e3, *(bad or (None, None)),
-            mode=numeric_mode(qv))
-    return reports
+                return f"({a})+ vs {b}", f"{worst:.6e} > tol {bound:.6e}"
+        return None
+
+    checks = [("parity commutes", MODE_EXACT, parity_commutes, None),
+              ("parity blocks", MODE_EXACT, parity_blocks, None),
+              ("nu grading homogeneous", MODE_EXACT, nu_grading,
+               "every element shifts nu by one fixed amount")]
+    checks += [(f"adjoint pairs q={qv:g}", numeric_mode(qv),
+                functools.partial(adjoint_pairs, qv), None) for qv in qs]
+    return [
+        _report(time.perf_counter(), check(), f"structure {name}", family,
+                f"structure:{name}", mode, space.cutoff, space.cutoff, note=note)
+        for name, mode, check, note in checks
+    ]
 
 
 # -- classical degeneration -----------------------------------------------------
@@ -1320,13 +1236,28 @@ def structural_checks(
 
 def _entry_limit(op, key) -> Q:
     poly = op.entries.get(key)
-    if poly is None:
-        return Q(0)
-    return limit_q1(QRationalFn(poly, op.den))
+    return Q(0) if poly is None else limit_q1(QRationalFn(poly, op.den))
+
+
+def _limit_mismatch(gens: GeneratorSet, counter: dict):
+    """First entry where a deformed generator at s = 1 differs from its
+    classical counterpart, or None."""
+    states = gens.space.states
+    for name in sorted(counter):
+        dop, cop = gens[name], counter[name]
+        dflag = Q(dop.sqrt_sq.at_one()) if dop.sqrt_sq is not None else Q(1)
+        cflag = Q(cop.sqrt_sq.at_one()) if cop.sqrt_sq is not None else Q(1)
+        for key in set(dop.entries) | set(cop.entries):
+            dv, cv = _entry_limit(dop, key), _entry_limit(cop, key)
+            if dv * dv * dflag != cv * cv * cflag or (dv > 0) != (cv > 0):
+                d, s = key
+                return (f"{name}: {states[s]} -> {states[d]}",
+                        f"limit {dv}*sqrt({dflag}) != {cv}*sqrt({cflag})")
+    return None
 
 
 def classical_degeneration(
-    cutoff: int = DEFAULT_CUTOFF, families=("qboson", "tensor")
+    cutoff: int = DEFAULT_CUTOFF, families=("qboson", "tensor"), *, sets=None
 ) -> list[Report]:
     """s = 1 specialization of each deformed family.
 
@@ -1337,58 +1268,37 @@ def classical_degeneration(
     their arguments, q-powers become 1), vanishes on its safe subspace.
     Recorded variants are excluded: their coefficient readings differ
     only by q-powers, which are invisible at q = 1.
-    """
+
+    ``sets(family)`` returns a family's generator set on FockSpace(cutoff);
+    by default each is built once, on one space."""
+    sets = sets or _shared_sets(cutoff)
     reports = []
-    space = FockSpace(cutoff)
-    classical = build("classical", space)
     for family in families:
         if family not in ("qboson", "tensor"):
             continue
-        gens = build(family, space)
-        counter = classical_counterparts(gens, classical)
-
-        t0 = time.perf_counter()
-        bad = None
-        for name in sorted(counter):
-            dop, cop = gens[name], counter[name]
-            dflag = Q(dop.sqrt_sq.at_one()) if dop.sqrt_sq is not None else Q(1)
-            cflag = Q(cop.sqrt_sq.at_one()) if cop.sqrt_sq is not None else Q(1)
-            for key in set(dop.entries) | set(cop.entries):
-                dv, cv = _entry_limit(dop, key), _entry_limit(cop, key)
-                if dv * dv * dflag != cv * cv * cflag or (dv > 0) != (cv > 0):
-                    d, s = key
-                    bad = (f"{name}: {space.states[s]} -> {space.states[d]}",
-                           f"limit {dv}*sqrt({dflag}) != {cv}*sqrt({cflag})")
-                    break
-            if bad:
-                break
-        reports.append(Report(
+        gens, classical = sets(family), sets("classical")
+        reports.append(_report(
+            time.perf_counter(),
+            _limit_mismatch(gens, classical_counterparts(gens, classical)),
             f"classical entrywise limit ({family})", family,
             "degeneration:entrywise", MODE_EXACT, cutoff, cutoff,
-            "Fails" if bad else "Holds", (time.perf_counter() - t0) * 1e3,
-            witness=bad[0] if bad else None, residual=bad[1] if bad else None,
             note="s = 1 specialization against the classical counterpart",
         ))
 
         t0 = time.perf_counter()
-        ctx = classical_limit_context(gens)
-        bad = None
-        safe_nu = cutoff
+        ctx = ClassicalContext(gens, classical)
+        safe_nu, bad = cutoff, None
         for rel in canonical_relations(family):
             res = rel.builder(ctx)
-            reach = max(res.climb, 0)
-            _require_cutoff(rel.name, cutoff, reach)
-            window = SafeSubspace(space, cutoff - reach)
+            window = _window(rel.name, ctx.space, res)
             safe_nu = min(safe_nu, window.max_nu)
             hit = first_witness(res, window)
             if hit is not None:
                 bad = (f"{rel.name}: {hit[0]} -> {hit[1]}", str(hit[2]))
                 break
-        reports.append(Report(
-            f"classical relation replay ({family})", family,
+        reports.append(_report(
+            t0, bad, f"classical relation replay ({family})", family,
             "degeneration:replay", MODE_EXACT, cutoff, safe_nu,
-            "Fails" if bad else "Holds", (time.perf_counter() - t0) * 1e3,
-            witness=bad[0] if bad else None, residual=bad[1] if bad else None,
             note="canonical relations replayed at q = 1; variants excluded",
         ))
     return reports
@@ -1397,37 +1307,41 @@ def classical_degeneration(
 # -- degeneracy resolution ------------------------------------------------------
 
 
-def degeneracy_resolution(cutoff: int = DEFAULT_CUTOFF) -> list[Report]:
+def _unresolved_pair(table: SpectrumTable, weight: str):
+    """First pair in one nu shell with equal casimir eigenvalue and equal m,
+    or a failure when no shell holds a degenerate pair at all."""
+    shells: dict[int, list[SpectrumRow]] = {}
+    for row in table.rows:
+        shells.setdefault(row.state.nu, []).append(row)
+    degenerate_found = False
+    for nu, rows in shells.items():
+        for i, a in enumerate(rows):
+            for b in rows[i + 1:]:
+                if a.exact == b.exact:
+                    if a.state.m == b.state.m:
+                        return (f"{a.state} vs {b.state}",
+                                f"equal casimir and equal {weight} in shell nu={nu}")
+                    degenerate_found = True
+    return None if degenerate_found else ("(none)", "no degenerate pair found in any shell")
+
+
+def degeneracy_resolution(cutoff: int = DEFAULT_CUTOFF, *, sets=None) -> list[Report]:
     """Within each nu shell the quadratic casimir takes equal values at
     +-m, and the undeformed weight operator separates the pair: the key
-    (casimir eigenvalue, m) is injective on the shell."""
+    (casimir eigenvalue, m) is injective on the shell.
+
+    ``sets(family)`` returns a family's generator set on FockSpace(cutoff);
+    by default each is built once, on one space."""
+    sets = sets or _shared_sets(cutoff)
     reports = []
     for name, family, weight in (("C2SU0", "classical", "I0"),
                                  ("K02", "qboson", "J0")):
         t0 = time.perf_counter()
-        table = casimir_table(name, cutoff)
-        shells: dict[int, list[SpectrumRow]] = {}
-        for row in table.rows:
-            shells.setdefault(row.state.nu, []).append(row)
-        degenerate_found = False
-        bad = None
-        for nu, rows in shells.items():
-            for i, a in enumerate(rows):
-                for b in rows[i + 1:]:
-                    if a.exact == b.exact:
-                        degenerate_found = True
-                        if a.state.m == b.state.m:
-                            bad = (f"{a.state} vs {b.state}",
-                                   f"equal casimir and equal {weight} in shell nu={nu}")
-            if bad:
-                break
-        if not degenerate_found and bad is None:
-            bad = ("(none)", "no degenerate pair found in any shell")
-        reports.append(Report(
+        table = casimir_table(name, cutoff, gens=sets(family))
+        reports.append(_report(
+            t0, _unresolved_pair(table, weight),
             f"degeneracy resolved by {weight} ({name})", family,
             f"degeneracy:{name}", MODE_EXACT, cutoff, table.safe_nu,
-            "Fails" if bad else "Holds", (time.perf_counter() - t0) * 1e3,
-            witness=bad[0] if bad else None, residual=bad[1] if bad else None,
             note=f"+-m pairs share the {name} eigenvalue; {weight} separates them",
         ))
     return reports
@@ -1448,8 +1362,11 @@ def full_suite(
 ) -> list[Report]:
     """Everything relevant to the requested families: catalog, structure,
     casimir spectra, bases and ladders (tensor), scalar series, classical
-    degeneration, and degeneracy resolution.  Sorted by (relation, mode)."""
+    degeneration, and degeneracy resolution.  Sorted by (relation, mode).
+    All checks share one FockSpace(cutoff) and one generator set per
+    family, built on first use."""
     require_tol(tol)
+    sets = _shared_sets(cutoff)
     reports: list[Report] = []
     mutated_somewhere = False
     for family in families:
@@ -1460,20 +1377,20 @@ def full_suite(
                 mutated_somewhere = True
         reports += check_all(
             family, cutoff, qs, tol=tol, include_variants=include_variants,
-            mutate=fam_mutate,
+            mutate=fam_mutate, gens=sets(family),
         )
-        reports += structural_checks(family, cutoff, qs)
+        reports += structural_checks(family, cutoff, qs, gens=sets(family))
     if mutate is not None and not mutated_somewhere:
         raise KeyError(f"no relation named {mutate!r} in families {tuple(families)}")
-    for name in CASIMIR_NAMES:
-        if casimir_family(name) in families:
-            reports.append(check_casimir_spectrum(name, cutoff, qs=qs))
+    reports += [check_casimir_spectrum(name, cutoff, qs=qs, gens=sets(casimir_family(name)))
+                for name in CASIMIR_NAMES if casimir_family(name) in families]
     if "tensor" in families:
+        tensor = sets("tensor")
         reports.append(check_casimir_spectrum(
-            "S2", cutoff, weights=(Q(2, 3), Q(-1, 5), 1, Q(7, 2)), qs=qs))
-        reports += check_all_bases(cutoff)
-        reports += check_ladder_actions(cutoff, qs=qs, tol=tol)
+            "S2", cutoff, weights=(Q(2, 3), Q(-1, 5), 1, Q(7, 2)), qs=qs, gens=tensor))
+        reports += check_all_bases(cutoff, gens=tensor)
+        reports += check_ladder_actions(cutoff, qs=qs, tol=tol, gens=tensor)
     reports += check_series_expansions()
-    reports += classical_degeneration(cutoff, families=families)
-    reports += [r for r in degeneracy_resolution(cutoff) if r.family in families]
+    reports += classical_degeneration(cutoff, families=families, sets=sets)
+    reports += [r for r in degeneracy_resolution(cutoff, sets=sets) if r.family in families]
     return _sort_reports(reports)

@@ -5,12 +5,15 @@ resolution, pyramids and report serialization."""
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sp4q.algebras
+import sp4q.verify
 from sp4q.algebras import CASIMIR_NAMES, FAMILIES, build, find_relation
 from sp4q.fock import FockSpace, FockState
 from sp4q.qnum import QRationalFn, q_factorial, q_int, q_power
@@ -150,6 +153,26 @@ def test_check_relation_string_needs_family():
         check_relation("J-commutator")
 
 
+# Each entry point given a generator set of another family: before, these
+# reported Holds under the wrong family label or raised a bare KeyError.
+WRONG_FAMILY_CALLS = {
+    "structural_checks": lambda g: structural_checks("tensor", gens=g),
+    "check_all": lambda g: check_all("classical", gens=g),
+    "check_relation": lambda g: check_relation(("classical", "Bose-cc"), gens=g),
+    "check_basis_construction": lambda g: check_basis_construction("eta", gens=g),
+    "check_all_bases": lambda g: check_all_bases(gens=g),
+    "check_ladder_actions": lambda g: check_ladder_actions(gens=g),
+    "casimir_table": lambda g: casimir_table("L2", gens=g),
+    "check_casimir_spectrum": lambda g: check_casimir_spectrum("I2", gens=g),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_FAMILY_CALLS.values(), ids=list(WRONG_FAMILY_CALLS))
+def test_gens_of_another_family_is_a_value_error(call, gens):
+    with pytest.raises(ValueError, match="gens= holds the 'qboson' family"):
+        call(gens["qboson"])
+
+
 def test_sqrt_flagged_relations_report_squared_mode(gens):
     # so(3)-vector relations carry a sqrt([2]) flag: exact verdicts on
     # them certify the squared relation
@@ -263,6 +286,13 @@ def test_casimir_table_sectors(gens):
     assert all(r.state.parity == 0 for r in even.rows)
     assert all(r.state.parity == 1 for r in odd.rows)
     assert even.rows and odd.rows
+
+
+def test_casimir_table_rejects_unknown_sector(gens):
+    # an unknown sector used to return every row, as "all" does
+    with pytest.raises(ValueError,
+                       match=r"unknown sector 'bogus'; choose from \('all', 'even', 'odd'\)"):
+        casimir_table("J2", sector="bogus", gens=gens["qboson"])
 
 
 def test_casimir_table_enumeration_order(gens):
@@ -390,6 +420,15 @@ def test_ladder_requires_enough_room():
         check_ladder_actions(8, max_n=5)
 
 
+@pytest.mark.parametrize("max_n", (0, -3))
+def test_empty_ladder_and_series_ranges_are_rejected(max_n):
+    # an empty range used to report Holds without checking anything
+    with pytest.raises(ValueError, match=f"need max_n >= 1; got {max_n}"):
+        check_ladder_actions(8, max_n=max_n)
+    with pytest.raises(ValueError, match=f"need max_n >= 1; got {max_n}"):
+        check_series_expansions(max_n)
+
+
 def test_ladder_center_example():
     # lowering the nu=4 center state once: squared element q [3]!/[1]!
     space = FockSpace(8)
@@ -502,18 +541,24 @@ def test_full_suite_small():
     assert names == sorted(names)
 
 
+def _digest(reports) -> str:
+    """SHA-256 of the reports as JSON with wall_ms stripped."""
+    dicts = [r.to_dict() for r in reports]
+    for d in dicts:
+        d.pop("wall_ms")
+    txt = json.dumps(dicts, sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(txt.encode()).hexdigest()
+
+
 # SHA-256 of the seed's full_suite(8) reports (JSON, wall_ms stripped), the
 # value perfbench/digests.json records: a speedup must not change a byte.
 FULL_SUITE_8_SHA256 = "83ab176a2fce91c20cc2aa64f300ed370b51366c17e0166a8dc43f5f7696cefe"
 
 
 def test_full_suite_8_reports_byte_identical():
-    reports = [r.to_dict() for r in full_suite(8)]
-    for d in reports:
-        d.pop("wall_ms")
-    txt = json.dumps(reports, sort_keys=True, indent=2) + "\n"
+    reports = full_suite(8)
     assert len(reports) == 757
-    assert hashlib.sha256(txt.encode()).hexdigest() == FULL_SUITE_8_SHA256
+    assert _digest(reports) == FULL_SUITE_8_SHA256
 
 
 # The same recipe at cutoff 12, recorded before the fused multiply-accumulate
@@ -523,9 +568,43 @@ FULL_SUITE_12_SHA256 = "2235003e3f52c173293a23c67b1662908a0bf070e7ea93748c681c54
 
 
 def test_full_suite_12_reports_byte_identical():
-    reports = [r.to_dict() for r in full_suite(12)]
-    for d in reports:
-        d.pop("wall_ms")
-    txt = json.dumps(reports, sort_keys=True, indent=2) + "\n"
+    reports = full_suite(12)
     assert len(reports) == 757
-    assert hashlib.sha256(txt.encode()).hexdigest() == FULL_SUITE_12_SHA256
+    assert _digest(reports) == FULL_SUITE_12_SHA256
+
+
+# The same recipe over the subsets of full_suite(8) whose checks share
+# generator sets differently, recorded while every check built its own.
+FULL_SUITE_8_SUBSET_SHA256 = [
+    ({"families": ("classical",)},
+     "904f99e5c4b8b33773dac53f84475d171617e692c4265f6955167d2f1bfff35d"),
+    ({"families": ("qboson",)},
+     "cf5eab985d36d499c6963fcb65a0406026168ffaba233fce68510c6b265dac9f"),
+    ({"families": ("tensor",)},
+     "9864b59a92aa89f8d2845013fb8f77be3e6a2f3fe8a2f0a20e04c58ca236be0a"),
+    ({"families": ("qboson", "tensor")},
+     "20364a5a84c5ac444015801004a6756316291364db9b384efbd4d1c93c98bbd6"),
+    ({"include_variants": False},
+     "a0f2b68a1e5e0118b8c6b6eaca2e4095cd722c8c1c12416894901ebbe5f68b16"),
+    ({"mutate": "J-commutator"},
+     "ee2adad11af4d89cfb4b95f0968a26ff68866ebcc250c32d0be119da9b5377fa"),
+]
+
+
+@pytest.mark.parametrize("kwargs,sha256", FULL_SUITE_8_SUBSET_SHA256,
+                         ids=[str(kw) for kw, _ in FULL_SUITE_8_SUBSET_SHA256])
+def test_full_suite_8_subset_reports_byte_identical(kwargs, sha256):
+    assert _digest(full_suite(8, **kwargs)) == sha256
+
+
+def test_full_suite_builds_each_family_once(monkeypatch):
+    calls = Counter()
+
+    def counting_build(family, space):
+        calls[family] += 1
+        return build(family, space)
+
+    monkeypatch.setattr(sp4q.verify, "build", counting_build)
+    monkeypatch.setattr(sp4q.algebras, "build", counting_build)
+    full_suite(8)
+    assert calls == Counter(FAMILIES)
