@@ -23,14 +23,23 @@ whose builder produces the residual operator (zero iff the identity
 holds) in any of three scalar contexts: exact deformed, exact classical
 limit (q = 1), or floating point at fixed q.  Builders take a ``flip``
 switch that negates one term, used by the mutation self-test.
+
+Generator sets are immutable and shared while alive.  A set depends only
+on its family and cutoff (the three families act in one Fock space, and
+no entry depends on q), so :func:`build` hands out the set already alive
+for that pair and constructs one only when none is.  It holds no strong
+reference: a set nobody keeps is freed as before.  A set's ``ops``
+mapping is read-only; a modified set is made with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import math
+import types
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Mapping
 
 from .fock import FockSpace, FockState
 from .ops import NumOp, QOperator, basis_norms, classical_gram, gram, to_numeric
@@ -47,14 +56,19 @@ class GeneratorSet:
 
     ``elements`` are the algebra generators proper (quadratic in the
     mode operators, hence parity preserving); the remaining entries are
-    building blocks such as single mode operators.
+    building blocks such as single mode operators.  ``ops`` is stored as
+    a read-only copy of the mapping given, since :func:`build` shares
+    one set among all its callers.
     """
 
     family: str
     space: FockSpace
-    ops: dict[str, QOperator]
+    ops: Mapping[str, QOperator]
     elements: tuple[str, ...]
     adjoint_pairs: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "ops", types.MappingProxyType(dict(self.ops)))
 
     def __getitem__(self, name: str) -> QOperator:
         return self.ops[name]
@@ -65,9 +79,14 @@ class GeneratorSet:
 
 def _diag(space, fn) -> QOperator:
     """Diagonal operator with exact rational eigenvalues fn(state)."""
-    return QOperator.diagonal(
-        space, lambda st: LaurentPoly.const(fn(st))
-    )
+
+    def value(st):
+        v = fn(st)
+        if type(v) is int:
+            return LaurentPoly._of({0: v} if v else {})
+        return LaurentPoly.const(v)
+
+    return QOperator.diagonal(space, value)
 
 
 def _diag_poly(space, fn, den: LaurentPoly = ONE) -> QOperator:
@@ -93,14 +112,23 @@ def _mode_annihilator(space, mode, coeff) -> QOperator:
     return QOperator.from_rule(space, rule, nu_raise=-1, nu_lower=1)
 
 
+def _s_exponent(x, k: int, error: str) -> int:
+    """k * x as an integer exponent of s; ``error`` when it is not one.
+    An ``int`` x stays in ``int`` arithmetic."""
+    if type(x) is int:
+        return k * x
+    e = k * Q(x)
+    if e.denominator != 1:
+        raise ValueError(error)
+    return int(e)
+
+
 def _spow(space, fn) -> QOperator:
     """Diagonal q-power operator q^{fn(state)} (fn in multiples of 1/4)."""
 
     def value(st):
-        e = 4 * Q(fn(st))
-        if e.denominator != 1:
-            raise ValueError("q-power with non-quarter-integer exponent")
-        return LaurentPoly.monomial(int(e))
+        e = _s_exponent(fn(st), 4, "q-power with non-quarter-integer exponent")
+        return LaurentPoly._of({e: 1})
 
     return QOperator.diagonal(space, value)
 
@@ -283,13 +311,28 @@ _BUILDERS = {
 }
 
 
+# (family, cutoff) -> the generator set alive for it; weak, so a set lives
+# exactly as long as some caller keeps it.
+_LIVE: "weakref.WeakValueDictionary[tuple[str, int], GeneratorSet]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 def build(family: str, space: FockSpace) -> GeneratorSet:
-    """Construct the named generator family on a truncated space."""
+    """The named generator family on a truncated space.
+
+    Returns the set already alive for ``(family, space.cutoff)`` if some
+    caller still holds one, and constructs it otherwise.
+    """
     if family not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     if space.cutoff < MIN_CUTOFF:
         raise ValueError(f"family {family!r} needs cutoff >= {MIN_CUTOFF}")
-    return _BUILDERS[family](space)
+    key = (family, space.cutoff)
+    gens = _LIVE.get(key)
+    if gens is None:
+        gens = _LIVE[key] = _BUILDERS[family](space)
+    return gens
 
 
 def classical_counterparts(gens: GeneratorSet, classical: GeneratorSet) -> dict[str, QOperator]:
@@ -367,11 +410,9 @@ class ExactContext:
         den = LaurentPoly({4 * m: 1, -4 * m: -1})
 
         def value(st):
-            e = 4 * m * Q(fn(st))
-            if e.denominator != 1:
-                raise ValueError("bracket argument with non-integral s-exponent")
-            e = int(e)
-            return LaurentPoly({e: 1, -e: -1}) if e else LaurentPoly.zero()
+            e = _s_exponent(
+                fn(st), 4 * m, "bracket argument with non-integral s-exponent")
+            return LaurentPoly._of({e: 1, -e: -1} if e else {})
 
         return QOperator.diagonal(self.space, value, den=den)
 

@@ -227,11 +227,14 @@ class QOperator:
         return self._plus(other, -1)
 
     def scale(self, factor) -> "QOperator":
-        """Multiply by an exact scalar (int, Fraction or LaurentPoly)."""
+        """Multiply by an exact scalar (int, Fraction or LaurentPoly).
+        A factor of 1 returns this operator itself."""
         if isinstance(factor, (int, Fraction)):
             factor = LaurentPoly.const(factor)
         if factor.is_zero:
             return QOperator.zero(self.space)
+        if factor.is_one:
+            return self
         return QOperator(
             self.space,
             {k: p * factor for k, p in self.entries.items()},

@@ -224,7 +224,12 @@ class LaurentPoly:
 
     def __call__(self, q: float) -> float:
         s = float(q) ** 0.25
-        return float(sum(float(v) * s**k for k, v in self.c.items()))
+        try:
+            return float(sum(float(v) * s**k for k, v in self.c.items()))
+        except OverflowError:
+            raise ValueError(
+                f"q = {q!r} is out of range: a power of q^(1/4) overflows a float"
+            ) from None
 
     def eval_mp(self, q):
         """Evaluate at q > 0 with mpmath precision (q is an mpf)."""

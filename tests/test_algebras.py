@@ -2,7 +2,9 @@
 catalog, casimir constructions, classical counterparts and the
 contextual (exact / classical / numeric) evaluation semantics."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -51,6 +53,30 @@ def test_min_cutoff_enforced():
 def test_families_share_space(spaces):
     assert all(g.space.cutoff == 8 for g in spaces.values())
     assert spaces["tensor"].family == "tensor"
+
+
+def test_build_shares_the_live_set(fresh_builds):
+    g = build("tensor", FockSpace(8))
+    assert build("tensor", FockSpace(8)) is g
+    assert fresh_builds["tensor"] == 1
+
+
+def test_build_keeps_no_set_alive(fresh_builds):
+    g = build("qboson", FockSpace(8))
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+    build("qboson", FockSpace(8))
+    assert fresh_builds["qboson"] == 2
+
+
+def test_generator_set_ops_are_read_only(spaces):
+    g = spaces["tensor"]
+    with pytest.raises(TypeError):
+        g.ops["td1"] = g.ops["tm1"]
+    with pytest.raises(TypeError):
+        del g.ops["td1"]
 
 
 # -- generator spot values -------------------------------------------------------

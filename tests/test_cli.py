@@ -3,6 +3,8 @@ golden byte-matches, the report directory, and usage errors."""
 
 import gc
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -270,6 +272,7 @@ def test_usage_errors_exit_two(capsys, argv):
 
 
 BAD_Q = ("nan", "inf", "0", "-1")
+HUGE_Q = ("1e300", "1e-300")
 
 
 @pytest.mark.parametrize(
@@ -284,6 +287,21 @@ def test_bad_q_exits_two_with_a_message(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert "q must be finite and positive" in err and "Traceback" not in err
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--family", "qboson", "--cutoff", "8", "--q", q) for q in HUGE_Q]
+    + [("eval", "--family", "tensor", "--op", "T1", "--state", "0,0", "--cutoff", "8",
+        "--q", q) for q in HUGE_Q]
+    + [("spectrum", "--casimir", "J2", "--cutoff", "8", "--q", q) for q in HUGE_Q],
+)
+def test_float_overflowing_q_exits_two_with_a_message(capsys, argv):
+    # a finite q whose powers overflow a float used to end in a traceback
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert f"q = {float(argv[-1])!r} is out of range" in err and "Traceback" not in err
     assert "PASS" not in out
 
 
@@ -322,7 +340,21 @@ def test_main_builds_its_parser_once(capsys):
     assert left == []
 
 
-# -- console entry point ---------------------------------------------------------
+# -- console entry point and scripts ---------------------------------------------
+
+
+def _run_python(*args):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def test_package_runs_as_a_module():
+    proc = _run_python("-m", "sp4q", "verify", "--family", "classical", "--cutoff", "8")
+    assert proc.returncode == 0, proc.stderr
+    assert "0 unexpected" in proc.stdout
 
 
 def test_module_entry_point():
@@ -332,3 +364,10 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "|1,1>" in proc.stdout
+
+
+def test_derive_catalog_coefficients_script_runs():
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "derive_catalog_coefficients.py"
+    proc = _run_python(str(script))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -3,8 +3,10 @@ tables with series labels, vacuum-built bases, ladder actions, scalar
 series, structural invariants, classical degeneration, degeneracy
 resolution, pyramids and report serialization."""
 
+import dataclasses
 import hashlib
 import json
+import re
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 import sp4q.algebras
 import sp4q.verify
-from sp4q.algebras import CASIMIR_NAMES, FAMILIES, build, find_relation
+from sp4q.algebras import (
+    CASIMIR_NAMES, FAMILIES, _BUILDERS, build, find_relation, relation_catalog)
 from sp4q.fock import FockSpace, FockState
 from sp4q.qnum import QRationalFn, q_factorial, q_int, q_power
 from sp4q.verify import (
@@ -98,6 +101,13 @@ def test_check_relation_bad_mode(gens):
 def test_check_relation_numeric_at_q_one_is_a_value_error(rel):
     with pytest.raises(ValueError, match="0/0 at q = 1"):
         check_relation(rel, 8, mode="numeric", q=1.0)
+
+
+@pytest.mark.parametrize("q", (1e300, 1e-300, 3e11))
+def test_check_relation_numeric_at_a_float_overflowing_q_is_a_value_error(q):
+    # a power of q^(1/4) beyond float range used to raise OverflowError
+    with pytest.raises(ValueError, match=re.escape(f"q = {q!r} is out of range")):
+        check_relation(("qboson", "J-commutator"), 8, mode="numeric", q=q)
 
 
 BAD_QS = (float("nan"), float("inf"), 0.0, -1.0)
@@ -397,9 +407,8 @@ def test_basis_unknown_and_small_cutoff():
 
 def test_basis_detects_wrong_coefficient(gens):
     # a deliberately corrupted generator set must be caught
-    space = gens["tensor"].space
-    broken = build("tensor", space)
-    broken.ops["td1"] = broken.ops["td1"].scale(q_power(Q(1, 4)))
+    g = gens["tensor"]
+    broken = dataclasses.replace(g, ops={**g.ops, "td1": g.ops["td1"].scale(q_power(Q(1, 4)))})
     r = check_basis_construction("ts", gens=broken)
     assert not r.holds
     assert r.witness and r.residual
@@ -595,6 +604,41 @@ FULL_SUITE_8_SUBSET_SHA256 = [
                          ids=[str(kw) for kw, _ in FULL_SUITE_8_SUBSET_SHA256])
 def test_full_suite_8_subset_reports_byte_identical(kwargs, sha256):
     assert _digest(full_suite(8, **kwargs)) == sha256
+
+
+def _terms(poly):
+    return None if poly is None else [(k, type(v), v) for k, v in poly.c.items()]
+
+
+def _contents(gens):
+    """A generator set down to each coefficient's order and type."""
+    return (gens.family, gens.space, gens.elements, gens.adjoint_pairs, [
+        (name, _terms(op.den), _terms(op.sqrt_sq), op.nu_raise, op.nu_lower,
+         op.climb, [(key, _terms(p)) for key, p in op.entries.items()])
+        for name, op in gens.ops.items()
+    ])
+
+
+def test_shared_sets_stay_as_built(fresh_builds):
+    # every check of the suite runs on the sets held here; none may alter them
+    held = {f: build(f, FockSpace(8)) for f in FAMILIES}
+    full_suite(8)
+    for name in CASIMIR_NAMES:
+        check_casimir_spectrum(name, 8, qs=())
+    assert fresh_builds == Counter(FAMILIES)
+    for f, gens in held.items():
+        assert _contents(gens) == _contents(_BUILDERS[f](FockSpace(8)))
+
+
+def test_exact_scale_pattern_constructs_each_family_once(fresh_builds):
+    # the casimir checks build their own sets; they get the ones held here
+    gens = {f: build(f, FockSpace(8)) for f in FAMILIES}
+    for f in FAMILIES:
+        for rel in relation_catalog(f):
+            check_relation(rel, 8, gens=gens[f])
+    for name in CASIMIR_NAMES:
+        check_casimir_spectrum(name, 8, qs=())
+    assert sum(fresh_builds.values()) == 3
 
 
 def test_full_suite_builds_each_family_once(monkeypatch):
