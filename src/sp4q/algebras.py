@@ -22,7 +22,11 @@ Every relation of each family is packaged as a named :class:`Relation`
 whose builder produces the residual operator (zero iff the identity
 holds) in any of three scalar contexts: exact deformed, exact classical
 limit (q = 1), or floating point at fixed q.  Builders take a ``flip``
-switch that negates one term, used by the mutation self-test.
+switch that negates one term, used by the mutation self-test.  Each
+builder is parsed from the relation's anchor, the formula its reports
+print, by :mod:`sp4q.notation` on the family's first
+:func:`relation_catalog` call; the casimirs are parsed from their
+defining combinations in the same notation.
 
 Generator sets are immutable and shared while alive.  A set depends only
 on its family and cutoff (the three families act in one Fock space, and
@@ -34,6 +38,7 @@ mapping is read-only; a modified set is made with ``dataclasses.replace``.
 
 from __future__ import annotations
 
+import functools
 import math
 import types
 import weakref
@@ -42,6 +47,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .fock import FockSpace, FockState
+from .notation import formula_builder, relation_builder
 from .ops import NumOp, QOperator, basis_norms, classical_gram, gram, to_numeric
 from .qnum import LaurentPoly, ONE, Q, q_int, q_power
 
@@ -425,9 +431,6 @@ class ExactContext:
     def ident(self):
         return QOperator.identity(self.space)
 
-    def zero(self):
-        return QOperator.zero(self.space)
-
 
 class ClassicalContext(ExactContext):
     """Classical-limit semantics: q-powers collapse to 1, brackets to
@@ -540,9 +543,6 @@ class NumericContext:
     def ident(self):
         return NumOp.identity(self.space, self.q)
 
-    def zero(self):
-        return NumOp.zero(self.space, self.q)
-
 
 def exact_context(gens: GeneratorSet) -> ExactContext:
     return ExactContext(gens)
@@ -601,86 +601,53 @@ def casimir_family(name: str) -> str:
     return _CASIMIR_FAMILY[name]
 
 
+_L2 = "q L_-1 L_+1 + q^(-1) L_+1 L_-1 + [2] L_0 L_0"
+
+# Each casimir's defining combination, in the notation of the catalog; the
+# four S2 weights fill the placeholders.
+_CASIMIR_FORMULAS = {
+    "I2": "(I_+ I_- + I_- I_+)/2 + I_0 I_0",
+    "C2SU0": "A_0^2 - (F_0 G_0 + G_0 F_0)/2",
+    "C2SUp": "A_+^2 - (F_+ G_+ + G_+ F_+)/2",
+    "C2SUm": "A_-^2 - (F_- G_- + G_- F_-)/2",
+    "J2": "(J_+ J_- + J_- J_+)/2 + ([J_0][J_0+1] + [J_0][J_0-1])/2",
+    "K02": "([K0_0][K0_0+1] + [K0_0][K0_0-1])/2 - (K0_+ K0_- + K0_- K0_+)/2",
+    "C2SUqp": "([K0^+]_2 [K0^+ + 1]_2 + [K0^+]_2 [K0^+ - 1]_2)/2"
+              " - (K_+^+ K_-^+ + K_-^+ K_+^+)/2",
+    "C2SUqm": "([K0^-]_2 [K0^- + 1]_2 + [K0^-]_2 [K0^- - 1]_2)/2"
+              " - (K_+^- K_-^- + K_-^- K_+^-)/2",
+    "L2": _L2,
+    "S2": "({0}) (q T_-1 ~T_1 + q^(-1) T_1 ~T_-1 + T_0 ~T_0)"
+          " + ({1}) (q ~T_-1 T_1 + q^(-1) ~T_1 T_-1 + ~T_0 T_0)"
+          " + ({2}) [2] (" + _L2 + ") + ({3}) [N]^2",
+}
+
+
+@functools.cache
+def _casimir_builder(name: str) -> Callable:
+    """The parsed formula of an unweighted casimir, parsed on first use."""
+    text = _CASIMIR_FORMULAS[name]
+    if name == "S2":
+        text = text.format(1, 1, 1, 1)
+    return formula_builder(f"casimir {name}", _CASIMIR_FAMILY[name], text)
+
+
 def casimir(name: str, gens: GeneratorSet, weights=None) -> QOperator:
     """Casimir operator built from its defining generator combination
-    (closed-form eigenvalues are verified separately, never assumed)."""
+    (closed-form eigenvalues are verified separately, never assumed).
+    Only S2 takes ``weights``, four rationals, one per term."""
     if name not in CASIMIR_NAMES:
         raise ValueError(f"unknown casimir {name!r}; choose from {CASIMIR_NAMES}")
     want = _CASIMIR_FAMILY[name]
     if gens.family != want:
         raise ValueError(f"casimir {name} belongs to family {want!r}, got {gens.family!r}")
-    c = exact_context(gens)
-    half = Q(1, 2)
-
-    if name == "I2":
-        sym = (c["Ip"] @ c["Im"] + c["Im"] @ c["Ip"]).scale(half)
-        return sym + c["I0"] @ c["I0"]
-
-    if name == "C2SU0":
-        return c["A0"] @ c["A0"] - (c["F0"] @ c["G0"] + c["G0"] @ c["F0"]).scale(half)
-
-    if name == "J2":
-        sym = (c["Jp"] @ c["Jm"] + c["Jm"] @ c["Jp"]).scale(half)
-        j0 = lambda st: st.m
-        diag = (
-            c.diag_brk(j0) @ c.diag_brk(lambda st: st.m + 1)
-            + c.diag_brk(j0) @ c.diag_brk(lambda st: st.m - 1)
-        ).scale(half)
-        return sym + diag
-
-    if name == "K02":
-        k0 = lambda st: Q(st.nu + 1, 2)
-        diag = (
-            c.diag_brk(k0) @ c.diag_brk(lambda st: Q(st.nu + 3, 2))
-            + c.diag_brk(k0) @ c.diag_brk(lambda st: Q(st.nu - 1, 2))
-        ).scale(half)
-        sym = (c["K0p"] @ c["K0m"] + c["K0m"] @ c["K0p"]).scale(half)
-        return diag - sym
-
-    if name in ("C2SUp", "C2SUm"):
-        a, f, gg = ("Ap", "Fp", "Gp") if name == "C2SUp" else ("Am", "Fm", "Gm")
-        return c[a] @ c[a] - (c[f] @ c[gg] + c[gg] @ c[f]).scale(half)
-
-    if name in ("C2SUqp", "C2SUqm"):
-        sign = 1 if name == "C2SUqp" else -1
-        n = (lambda st: st.n1) if sign == 1 else (lambda st: st.nm1)
-        k0 = lambda st: Q(2 * n(st) + 1, 4)
-        kp, km = ("Kpp", "Kpm") if sign == 1 else ("Kmp", "Kmm")
-        diag = (
-            c.diag_brk(k0, 2) @ c.diag_brk(lambda st: k0(st) + 1, 2)
-            + c.diag_brk(k0, 2) @ c.diag_brk(lambda st: k0(st) - 1, 2)
-        ).scale(half)
-        sym = (c[kp] @ c[km] + c[km] @ c[kp]).scale(half)
-        return diag - sym
-
-    if name == "L2":
-        return (
-            c.qpow(c["Lm1"] @ c["L1"], 1)
-            + c.qpow(c["L1"] @ c["Lm1"], -1)
-            + c.brk(c["L01"] @ c["L01"], 2)
-        )
-
-    if name == "S2":
-        if weights is None:
-            weights = (1, 1, 1, 1)
-        s1, s2, s3, s4 = (Q(w) for w in weights)
-        t_tt = (
-            c.qpow(c["Tm1"] @ c["Tt1"], 1)
-            + c.qpow(c["T1"] @ c["Ttm1"], -1)
-            + c["T0"] @ c["Tt0"]
-        )
-        tt_t = (
-            c.qpow(c["Ttm1"] @ c["T1"], 1)
-            + c.qpow(c["Tt1"] @ c["Tm1"], -1)
-            + c["Tt0"] @ c["T0"]
-        )
-        ll = casimir("L2", gens)
-        nn = c.diag_brk(lambda st: st.nu) @ c.diag_brk(lambda st: st.nu)
-        return (
-            t_tt.scale(s1) + tt_t.scale(s2) + c.brk(ll, 2).scale(s3) + nn.scale(s4)
-        )
-
-    raise AssertionError(name)
+    if weights is None:
+        return _casimir_builder(name)(exact_context(gens))
+    if name != "S2":
+        raise ValueError(f"weights apply only to the casimir S2, not to {name}")
+    s1, s2, s3, s4 = (Q(w) for w in weights)
+    text = _CASIMIR_FORMULAS["S2"].format(s1, s2, s3, s4)
+    return formula_builder("casimir S2", "tensor", text)(exact_context(gens))
 
 
 # -- relation catalog ----------------------------------------------------------
@@ -690,12 +657,13 @@ def casimir(name: str, gens: GeneratorSet, weights=None) -> QOperator:
 class Relation:
     """A named operator identity.
 
-    ``builder(ctx, flip)`` returns the residual operator of the identity
-    in the given scalar context; the identity holds iff the residual
-    vanishes on a safe subspace.  ``flip`` negates exactly one term (used
-    by the mutation self-test).  Entries with ``expect_holds=False`` are
-    recorded variant readings whose coefficients do not verify; each
-    points at its canonical form via ``variant_of``.
+    ``builder(ctx, flip)``, parsed from ``anchor``, returns the residual
+    operator of the identity in the given scalar context; the identity
+    holds iff the residual vanishes on a safe subspace.  ``flip`` negates
+    exactly one term (used by the mutation self-test).  Entries with
+    ``expect_holds=False`` are recorded variant readings whose
+    coefficients do not verify; each points at its canonical form via
+    ``variant_of``.
     """
 
     name: str
@@ -707,659 +675,292 @@ class Relation:
     note: str | None = None
 
 
-def _zc(a: str, b: str, rho=0):
-    """Builder for [a, b]_{q^rho} = 0."""
-
-    def build(ctx, flip: bool = False):
-        return ctx.comm(ctx[a], ctx[b], rho, flip=flip)
-
-    return build
+# A catalog row is (name, anchor) or (name, anchor, note), in report order.
+_COEFFICIENT = "recorded coefficient reading; the canonical entry verifies"
+_Q_POWER = "recorded q-power reading; the canonical entry verifies"
 
 
-def _eqr(lhs_fn, rhs_fn):
-    """Builder for lhs = rhs; flip negates the right-hand side."""
-
-    def build(ctx, flip: bool = False):
-        lhs = lhs_fn(ctx)
-        rhs = rhs_fn(ctx)
-        return lhs + rhs if flip else lhs - rhs
-
-    return build
-
-
-def _comm_eq(a: str, b: str, rhs_fn, rho=0):
-    return _eqr(lambda c: c.comm(c[a], c[b], rho), rhs_fn)
-
-
-def _catalog_classical() -> list[Relation]:
-    def r(name, anchor, builder, **kw):
-        return Relation(name, "classical", anchor, builder, **kw)
-
-    nu = lambda st: st.nu
-    rels = [
-        r("trivial-self", "[I_0, I_0] = 0", _zc("I0", "I0")),
-        r("Bose-cc", "[b_1, b_1+] = 1",
-          _comm_eq("b1", "bd1", lambda c: c.ident())),
-        r("Bose-cc -1", "[b_-1, b_-1+] = 1",
-          _comm_eq("bm1", "bdm1", lambda c: c.ident())),
-        r("Bose-cc mixed 1,-1", "[b_1, b_-1+] = 0", _zc("b1", "bdm1")),
-        r("Bose-cc mixed -1,1", "[b_-1, b_1+] = 0", _zc("bm1", "bd1")),
-        r("Bose-cc creators", "[b_1+, b_-1+] = 0", _zc("bd1", "bdm1")),
-        r("Bose-cc annihilators", "[b_1, b_-1] = 0", _zc("b1", "bm1")),
-        r("number-op grading create 1", "[N_1, b_1+] = b_1+",
-          _comm_eq("N1", "bd1", lambda c: c["bd1"])),
-        r("number-op grading annihilate 1", "[N_1, b_1] = -b_1",
-          _comm_eq("N1", "b1", lambda c: -c["b1"])),
-        r("number-op grading create -1", "[N_-1, b_-1+] = b_-1+",
-          _comm_eq("Nm1", "bdm1", lambda c: c["bdm1"])),
-        r("number-op grading annihilate -1", "[N_-1, b_-1] = -b_-1",
-          _comm_eq("Nm1", "bm1", lambda c: -c["bm1"])),
-        r("number-op cross create", "[N_1, b_-1+] = 0", _zc("N1", "bdm1")),
-        r("number-op cross annihilate", "[N_1, b_-1] = 0", _zc("N1", "bm1")),
-        r("su2-weight raise", "[I_0, I_+] = I_+",
-          _comm_eq("I0", "Ip", lambda c: c["Ip"])),
-        r("su2-weight lower", "[I_0, I_-] = -I_-",
-          _comm_eq("I0", "Im", lambda c: -c["Im"])),
-        r("su2-commutator", "[I_+, I_-] = 2 I_0",
-          _comm_eq("Ip", "Im", lambda c: c.frac(c["I0"], 2))),
-        r("u2-center vs raise", "[N, I_+] = 0", _zc("N", "Ip")),
-        r("u2-center vs lower", "[N, I_-] = 0", _zc("N", "Im")),
-        r("u2-center vs weight", "[N, I_0] = 0", _zc("N", "I0")),
-        r("su2-casimir closed",
-          "(I_+ I_- + I_- I_+)/2 + I_0 I_0 = (N/2)(N/2 + 1)",
-          _eqr(lambda c: c.frac(c["Ip"] @ c["Im"] + c["Im"] @ c["Ip"], Q(1, 2))
-               + c["I0"] @ c["I0"],
-               lambda c: c.diag_frac(lambda st: Q(st.nu, 2) * (Q(st.nu, 2) + 1)))),
-        r("su2-raising action squared",
-          "I_- I_+ = (i - i_0)(i + i_0 + 1) on |i, i_0>",
-          _eqr(lambda c: c["Im"] @ c["Ip"],
-               lambda c: c.diag_frac(lambda st: st.nm1 * (st.n1 + 1))),
-          note="corrected display: target ket label is i_0 + 1"),
-        r("su2-lowering action squared",
-          "I_+ I_- = (i + i_0)(i - i_0 + 1) on |i, i_0>",
-          _eqr(lambda c: c["Ip"] @ c["Im"],
-               lambda c: c.diag_frac(lambda st: st.n1 * (st.nm1 + 1))),
-          note="corrected display: target ket label is i_0 - 1"),
-        r("u0-first-invariant", "b_1+ b_1 - b_-1 b_-1+ = 2 I_0 - 1",
-          _eqr(lambda c: c["C10"],
-               lambda c: c.diag_frac(lambda st: 2 * st.m - 1))),
-        r("su0-weight raise", "[A_0, F_0] = F_0",
-          _comm_eq("A0", "F0", lambda c: c["F0"])),
-        r("su0-weight lower", "[A_0, G_0] = -G_0",
-          _comm_eq("A0", "G0", lambda c: -c["G0"])),
-        r("su0-commutator", "[F_0, G_0] = -2 A_0",
-          _comm_eq("F0", "G0", lambda c: c.frac(c["A0"], -2))),
-        r("su0-casimir closed",
-          "A_0^2 - (F_0 G_0 + G_0 F_0)/2 = (I_0 + 1/2)(I_0 - 1/2)",
-          _eqr(lambda c: c["A0"] @ c["A0"]
-               - c.frac(c["F0"] @ c["G0"] + c["G0"] @ c["F0"], Q(1, 2)),
-               lambda c: c.diag_frac(lambda st: st.m * st.m - Q(1, 4)))),
-        r("summed-su11 weight raise", "[A_0, F] = F, F = (F_11 + F_-1-1)/2",
-          _comm_eq("A0", "Fsum", lambda c: c["Fsum"])),
-        r("summed-su11 weight lower", "[A_0, G] = -G",
-          _comm_eq("A0", "Gsum", lambda c: -c["Gsum"])),
-        r("summed-su11 commutator", "[F, G] = -2 A_0",
-          _comm_eq("Fsum", "Gsum", lambda c: c.frac(c["A0"], -2))),
+def _catalog_classical() -> list[tuple]:
+    rows = [
+        ("trivial-self", "[I_0, I_0] = 0"),
+        ("Bose-cc", "[b_1, b_1+] = 1"),
+        ("Bose-cc -1", "[b_-1, b_-1+] = 1"),
+        ("Bose-cc mixed 1,-1", "[b_1, b_-1+] = 0"),
+        ("Bose-cc mixed -1,1", "[b_-1, b_1+] = 0"),
+        ("Bose-cc creators", "[b_1+, b_-1+] = 0"),
+        ("Bose-cc annihilators", "[b_1, b_-1] = 0"),
+        ("number-op grading create 1", "[N_1, b_1+] = b_1+"),
+        ("number-op grading annihilate 1", "[N_1, b_1] = -b_1"),
+        ("number-op grading create -1", "[N_-1, b_-1+] = b_-1+"),
+        ("number-op grading annihilate -1", "[N_-1, b_-1] = -b_-1"),
+        ("number-op cross create", "[N_1, b_-1+] = 0"),
+        ("number-op cross annihilate", "[N_1, b_-1] = 0"),
+        ("su2-weight raise", "[I_0, I_+] = I_+"),
+        ("su2-weight lower", "[I_0, I_-] = -I_-"),
+        ("su2-commutator", "[I_+, I_-] = 2 I_0"),
+        ("u2-center vs raise", "[N, I_+] = 0"),
+        ("u2-center vs lower", "[N, I_-] = 0"),
+        ("u2-center vs weight", "[N, I_0] = 0"),
+        ("su2-casimir closed", "(I_+ I_- + I_- I_+)/2 + I_0 I_0 = (N/2)(N/2 + 1)"),
+        ("su2-raising action squared", "I_- I_+ = (i - i_0)(i + i_0 + 1) on |i, i_0>",
+         "corrected display: target ket label is i_0 + 1"),
+        ("su2-lowering action squared", "I_+ I_- = (i + i_0)(i - i_0 + 1) on |i, i_0>",
+         "corrected display: target ket label is i_0 - 1"),
+        ("u0-first-invariant", "b_1+ b_1 - b_-1 b_-1+ = 2 I_0 - 1"),
+        ("su0-weight raise", "[A_0, F_0] = F_0"),
+        ("su0-weight lower", "[A_0, G_0] = -G_0"),
+        ("su0-commutator", "[F_0, G_0] = -2 A_0"),
+        ("su0-casimir closed", "A_0^2 - (F_0 G_0 + G_0 F_0)/2 = (I_0 + 1/2)(I_0 - 1/2)"),
+        ("summed-su11 weight raise", "[A_0, F] = F, F = (F_11 + F_-1-1)/2"),
+        ("summed-su11 weight lower", "[A_0, G] = -G"),
+        ("summed-su11 commutator", "[F, G] = -2 A_0"),
     ]
-    for s, fop, gop, aop in (("+", "Fp", "Gp", "Ap"), ("-", "Fm", "Gm", "Am")):
-        rels += [
-            r(f"su{s} weight raise", f"[A_{s}, F_{s}] = F_{s}",
-              _comm_eq(aop, fop, lambda c, f=fop: c[f])),
-            r(f"su{s} weight lower", f"[A_{s}, G_{s}] = -G_{s}",
-              _comm_eq(aop, gop, lambda c, g=gop: -c[g])),
-            r(f"su{s} commutator", f"[F_{s}, G_{s}] = -2 A_{s}",
-              _comm_eq(fop, gop, lambda c, a=aop: c.frac(c[a], -2))),
-            r(f"su{s} casimir constant",
-              f"A_{s}^2 - (F_{s} G_{s} + G_{s} F_{s})/2 = -3/16",
-              _eqr(lambda c, a=aop, f=fop, g=gop: c[a] @ c[a]
-                   - c.frac(c[f] @ c[g] + c[g] @ c[f], Q(1, 2)),
-                   lambda c: c.frac(c.ident(), Q(-3, 16)))),
+    for s in ("+", "-"):
+        rows += [
+            (f"su{s} weight raise", f"[A_{s}, F_{s}] = F_{s}"),
+            (f"su{s} weight lower", f"[A_{s}, G_{s}] = -G_{s}"),
+            (f"su{s} commutator", f"[F_{s}, G_{s}] = -2 A_{s}"),
+            (f"su{s} casimir constant", f"A_{s}^2 - (F_{s} G_{s} + G_{s} F_{s})/2 = -3/16"),
         ]
-    for x, xop in (("F+", "Fp"), ("G+", "Gp"), ("A+", "Ap")):
-        for y, yop in (("F-", "Fm"), ("G-", "Gm"), ("A-", "Am")):
-            rels.append(r(f"su+- cross {x} {y}", f"[{x}, {y}] = 0", _zc(xop, yop)))
+    for x in ("F+", "G+", "A+"):
+        for y in ("F-", "G-", "A-"):
+            rows.append((f"su+- cross {x} {y}", f"[{x}, {y}] = 0"))
     for nm, sign in (("F11", -2), ("F1m1", -2), ("Fm1m1", -2),
                      ("G11", 2), ("G1m1", 2), ("Gm1m1", 2)):
         label = nm.replace("m1", "-1").replace("F", "F_").replace("G", "G_")
-        rels.append(r(f"N-grading {nm}", f"[{label}, N] = {sign} {label}",
-                      _comm_eq(nm, "N", lambda c, o=nm, s=sign: c.frac(c[o], s))))
-    return rels
+        rows.append((f"N-grading {nm}", f"[{label}, N] = {sign} {label}"))
+    return rows
 
 
-def _catalog_qboson() -> list[Relation]:
-    def r(name, anchor, builder, **kw):
-        return Relation(name, "qboson", anchor, builder, **kw)
-
-    half = Q(1, 2)
-    rels = [
-        r("trivial-self", "[J_0, J_0] = 0", _zc("J0", "J0")),
-        r("q-boson ac1 mode 1", "a_1 a_1+ - q a_1+ a_1 = q^(-N_1)",
-          _comm_eq("a1", "ad1", lambda c: c.diag_pow(lambda st: -st.n1), rho=1)),
-        r("q-boson ac1 mode -1", "a_-1 a_-1+ - q a_-1+ a_-1 = q^(-N_-1)",
-          _comm_eq("am1", "adm1", lambda c: c.diag_pow(lambda st: -st.nm1), rho=1)),
-        r("q-boson ac2 mode 1", "a_1 a_1+ - q^(-1) a_1+ a_1 = q^(N_1)",
-          _comm_eq("a1", "ad1", lambda c: c.diag_pow(lambda st: st.n1), rho=-1)),
-        r("q-boson ac2 mode -1", "a_-1 a_-1+ - q^(-1) a_-1+ a_-1 = q^(N_-1)",
-          _comm_eq("am1", "adm1", lambda c: c.diag_pow(lambda st: st.nm1), rho=-1)),
-        r("q-boson cross annihilate-create", "[a_1, a_-1+] = 0", _zc("a1", "adm1")),
-        r("q-boson cross create-annihilate", "[a_-1, a_1+] = 0", _zc("am1", "ad1")),
-        r("q-boson cross creators", "[a_1+, a_-1+] = 0", _zc("ad1", "adm1")),
-        r("q-boson cross annihilators", "[a_1, a_-1] = 0", _zc("a1", "am1")),
-        r("q-number grading create 1", "[N_1, a_1+] = a_1+",
-          _comm_eq("N1", "ad1", lambda c: c["ad1"])),
-        r("q-number grading annihilate 1", "[N_1, a_1] = -a_1",
-          _comm_eq("N1", "a1", lambda c: -c["a1"])),
-        r("q-number grading create -1", "[N_-1, a_-1+] = a_-1+",
-          _comm_eq("Nm1", "adm1", lambda c: c["adm1"])),
-        r("q-number grading annihilate -1", "[N_-1, a_-1] = -a_-1",
-          _comm_eq("Nm1", "am1", lambda c: -c["am1"])),
-        r("suq2-weight raise", "[J_0, J_+] = J_+",
-          _comm_eq("J0", "Jp", lambda c: c["Jp"])),
-        r("suq2-weight lower", "[J_0, J_-] = -J_-",
-          _comm_eq("J0", "Jm", lambda c: -c["Jm"])),
-        r("J-commutator", "[J_+, J_-] = [2 J_0]",
-          _comm_eq("Jp", "Jm", lambda c: c.diag_brk(lambda st: 2 * st.m))),
-        r("uq2-center vs raise", "[J_+, N] = 0", _zc("Jp", "N")),
-        r("uq2-center vs lower", "[J_-, N] = 0", _zc("Jm", "N")),
-        r("uq2-center vs weight", "[J_0, N] = 0", _zc("J0", "N")),
+def _catalog_qboson() -> list[tuple]:
+    rows = [
+        ("trivial-self", "[J_0, J_0] = 0"),
+        ("q-boson ac1 mode 1", "a_1 a_1+ - q a_1+ a_1 = q^(-N_1)"),
+        ("q-boson ac1 mode -1", "a_-1 a_-1+ - q a_-1+ a_-1 = q^(-N_-1)"),
+        ("q-boson ac2 mode 1", "a_1 a_1+ - q^(-1) a_1+ a_1 = q^(N_1)"),
+        ("q-boson ac2 mode -1", "a_-1 a_-1+ - q^(-1) a_-1+ a_-1 = q^(N_-1)"),
+        ("q-boson cross annihilate-create", "[a_1, a_-1+] = 0"),
+        ("q-boson cross create-annihilate", "[a_-1, a_1+] = 0"),
+        ("q-boson cross creators", "[a_1+, a_-1+] = 0"),
+        ("q-boson cross annihilators", "[a_1, a_-1] = 0"),
+        ("q-number grading create 1", "[N_1, a_1+] = a_1+"),
+        ("q-number grading annihilate 1", "[N_1, a_1] = -a_1"),
+        ("q-number grading create -1", "[N_-1, a_-1+] = a_-1+"),
+        ("q-number grading annihilate -1", "[N_-1, a_-1] = -a_-1"),
+        ("suq2-weight raise", "[J_0, J_+] = J_+"),
+        ("suq2-weight lower", "[J_0, J_-] = -J_-"),
+        ("J-commutator", "[J_+, J_-] = [2 J_0]"),
+        ("uq2-center vs raise", "[J_+, N] = 0"),
+        ("uq2-center vs lower", "[J_-, N] = 0"),
+        ("uq2-center vs weight", "[J_0, N] = 0"),
     ]
     for nm, sign in (("Fq11", -2), ("Fq1m1", -2), ("Fqm1m1", -2),
                      ("Gq11", 2), ("Gq1m1", 2), ("Gqm1m1", 2)):
         label = nm.replace("m1", "-1").replace("Fq", "F^q_").replace("Gq", "G^q_")
-        rels.append(r(f"N-grading {nm}", f"[{label}, N] = {sign} {label}",
-                      _comm_eq(nm, "N", lambda c, o=nm, s=sign: c.frac(c[o], s))))
-    rels += [
-        r("suq2-casimir symmetric closed",
-          "(J_+ J_- + J_- J_+)/2 + ([J_0][J_0+1] + [J_0][J_0-1])/2 = [N/2][N/2+1]",
-          _eqr(lambda c: c.frac(c["Jp"] @ c["Jm"] + c["Jm"] @ c["Jp"], half)
-               + c.frac(c.diag_brk(lambda st: st.m) @ c.diag_brk(lambda st: st.m + 1)
-                        + c.diag_brk(lambda st: st.m) @ c.diag_brk(lambda st: st.m - 1),
-                        half),
-               lambda c: c.diag_brk(lambda st: Q(st.nu, 2))
-               @ c.diag_brk(lambda st: Q(st.nu, 2) + 1))),
-        r("suq2-casimir chain raise-lower",
-          "J_+ J_- + [J_0][J_0-1] = [N/2][N/2+1]",
-          _eqr(lambda c: c["Jp"] @ c["Jm"]
-               + c.diag_brk(lambda st: st.m) @ c.diag_brk(lambda st: st.m - 1),
-               lambda c: c.diag_brk(lambda st: Q(st.nu, 2))
-               @ c.diag_brk(lambda st: Q(st.nu, 2) + 1))),
-        r("suq2-casimir chain lower-raise",
-          "J_- J_+ + [J_0][J_0+1] = [N/2][N/2+1]",
-          _eqr(lambda c: c["Jm"] @ c["Jp"]
-               + c.diag_brk(lambda st: st.m) @ c.diag_brk(lambda st: st.m + 1),
-               lambda c: c.diag_brk(lambda st: Q(st.nu, 2))
-               @ c.diag_brk(lambda st: Q(st.nu, 2) + 1))),
-        r("suq2-raising action squared",
-          "J_- J_+ = [j - m][j + m + 1] on |j, m>",
-          _eqr(lambda c: c["Jm"] @ c["Jp"],
-               lambda c: c.diag_brk(lambda st: st.nm1)
-               @ c.diag_brk(lambda st: st.n1 + 1)),
-          note="corrected display: target ket label is m + 1"),
-        r("suq2-lowering action squared",
-          "J_+ J_- = [j + m][j - m + 1] on |j, m>",
-          _eqr(lambda c: c["Jp"] @ c["Jm"],
-               lambda c: c.diag_brk(lambda st: st.n1)
-               @ c.diag_brk(lambda st: st.nm1 + 1)),
-          note="corrected display: target ket label is m - 1"),
-        r("uq0-weight raise", "[K0_0, K0_+] = K0_+",
-          _comm_eq("K00", "K0p", lambda c: c["K0p"])),
-        r("uq0-weight lower", "[K0_0, K0_-] = -K0_-",
-          _comm_eq("K00", "K0m", lambda c: -c["K0m"])),
-        r("uq0-commutator", "[K0_+, K0_-] = -[2 K0_0]",
-          _comm_eq("K0p", "K0m", lambda c: -c.diag_brk(lambda st: st.nu + 1))),
-        r("uq0-weight vs J0", "[K0_0, J_0] = 0", _zc("K00", "J0")),
-        r("uq0-raise vs J0", "[K0_+, J_0] = 0", _zc("K0p", "J0")),
-        r("uq0-lower vs J0", "[K0_-, J_0] = 0", _zc("K0m", "J0")),
-        r("suq0-casimir symmetric closed",
-          "([K0_0][K0_0+1] + [K0_0][K0_0-1])/2 - (K0_+ K0_- + K0_- K0_+)/2"
-          " = [J_0]^2 - [1/2]^2",
-          _eqr(lambda c: c.frac(
-                   c.diag_brk(lambda st: Q(st.nu + 1, 2))
-                   @ c.diag_brk(lambda st: Q(st.nu + 3, 2))
-                   + c.diag_brk(lambda st: Q(st.nu + 1, 2))
-                   @ c.diag_brk(lambda st: Q(st.nu - 1, 2)), half)
-               - c.frac(c["K0p"] @ c["K0m"] + c["K0m"] @ c["K0p"], half),
-               lambda c: c.diag_brk(lambda st: st.m) @ c.diag_brk(lambda st: st.m)
-               - c.diag_brk(lambda st: half) @ c.diag_brk(lambda st: half))),
-        r("suq0-casimir chain lower-raise",
-          "[K0_0][K0_0+1] - K0_- K0_+ = [J_0]^2 - [1/2]^2",
-          _eqr(lambda c: c.diag_brk(lambda st: Q(st.nu + 1, 2))
-               @ c.diag_brk(lambda st: Q(st.nu + 3, 2)) - c["K0m"] @ c["K0p"],
-               lambda c: c.diag_brk(lambda st: st.m) @ c.diag_brk(lambda st: st.m)
-               - c.diag_brk(lambda st: half) @ c.diag_brk(lambda st: half))),
-        r("suq0-casimir chain raise-lower",
-          "[K0_0][K0_0-1] - K0_+ K0_- = [J_0]^2 - [1/2]^2",
-          _eqr(lambda c: c.diag_brk(lambda st: Q(st.nu + 1, 2))
-               @ c.diag_brk(lambda st: Q(st.nu - 1, 2)) - c["K0p"] @ c["K0m"],
-               lambda c: c.diag_brk(lambda st: st.m) @ c.diag_brk(lambda st: st.m)
-               - c.diag_brk(lambda st: half) @ c.diag_brk(lambda st: half))),
-        r("suq0-product helper", "K0_+ K0_- = [N/2]^2 - [J_0]^2",
-          _eqr(lambda c: c["K0p"] @ c["K0m"],
-               lambda c: c.diag_brk(lambda st: Q(st.nu, 2))
-               @ c.diag_brk(lambda st: Q(st.nu, 2))
-               - c.diag_brk(lambda st: st.m) @ c.diag_brk(lambda st: st.m))),
-        r("suq0-bracket helper", "[K0_0][K0_0-1] = [N/2]^2 - [1/2]^2",
-          _eqr(lambda c: c.diag_brk(lambda st: Q(st.nu + 1, 2))
-               @ c.diag_brk(lambda st: Q(st.nu - 1, 2)),
-               lambda c: c.diag_brk(lambda st: Q(st.nu, 2))
-               @ c.diag_brk(lambda st: Q(st.nu, 2))
-               - c.diag_brk(lambda st: half) @ c.diag_brk(lambda st: half))),
+        rows.append((f"N-grading {nm}", f"[{label}, N] = {sign} {label}"))
+    rows += [
+        ("suq2-casimir symmetric closed",
+         "(J_+ J_- + J_- J_+)/2 + ([J_0][J_0+1] + [J_0][J_0-1])/2 = [N/2][N/2+1]"),
+        ("suq2-casimir chain raise-lower", "J_+ J_- + [J_0][J_0-1] = [N/2][N/2+1]"),
+        ("suq2-casimir chain lower-raise", "J_- J_+ + [J_0][J_0+1] = [N/2][N/2+1]"),
+        ("suq2-raising action squared", "J_- J_+ = [j - m][j + m + 1] on |j, m>",
+         "corrected display: target ket label is m + 1"),
+        ("suq2-lowering action squared", "J_+ J_- = [j + m][j - m + 1] on |j, m>",
+         "corrected display: target ket label is m - 1"),
+        ("uq0-weight raise", "[K0_0, K0_+] = K0_+"),
+        ("uq0-weight lower", "[K0_0, K0_-] = -K0_-"),
+        ("uq0-commutator", "[K0_+, K0_-] = -[2 K0_0]"),
+        ("uq0-weight vs J0", "[K0_0, J_0] = 0"),
+        ("uq0-raise vs J0", "[K0_+, J_0] = 0"),
+        ("uq0-lower vs J0", "[K0_-, J_0] = 0"),
+        ("suq0-casimir symmetric closed",
+         "([K0_0][K0_0+1] + [K0_0][K0_0-1])/2 - (K0_+ K0_- + K0_- K0_+)/2"
+         " = [J_0]^2 - [1/2]^2"),
+        ("suq0-casimir chain lower-raise", "[K0_0][K0_0+1] - K0_- K0_+ = [J_0]^2 - [1/2]^2"),
+        ("suq0-casimir chain raise-lower", "[K0_0][K0_0-1] - K0_+ K0_- = [J_0]^2 - [1/2]^2"),
+        ("suq0-product helper", "K0_+ K0_- = [N/2]^2 - [J_0]^2"),
+        ("suq0-bracket helper", "[K0_0][K0_0-1] = [N/2]^2 - [1/2]^2"),
     ]
-
-    def const_rhs(c):
-        return c.over_brk(c.over_brk(
-            c.diag_brk(lambda st: half) @ c.diag_brk(lambda st: half) - c.ident(),
-            2), 2)
-
-    for s, kp, km, n_of, other in (
-        ("+", "Kpp", "Kpm", lambda st: st.n1, "Nm1"),
-        ("-", "Kmp", "Kmm", lambda st: st.nm1, "N1"),
-    ):
-        k0 = lambda st, n=n_of: Q(2 * n(st) + 1, 4)
-        o_lbl = "N_-1" if s == "+" else "N_1"
-        rels += [
-            r(f"uq{s} weight raise", f"[K0^{s}, K_+^{s}] = K_+^{s}",
-              _eqr(lambda c, kp=kp, k0=k0: c.comm(
-                       c.diag_frac(lambda st, k0=k0: k0(st)), c[kp]),
-                   lambda c, kp=kp: c[kp])),
-            r(f"uq{s} weight lower", f"[K0^{s}, K_-^{s}] = -K_-^{s}",
-              _eqr(lambda c, km=km, k0=k0: c.comm(
-                       c.diag_frac(lambda st, k0=k0: k0(st)), c[km]),
-                   lambda c, km=km: -c[km])),
-            r(f"uq{s} commutator", f"[K_+^{s}, K_-^{s}] = -[2 K0^{s}]_2",
-              _comm_eq(kp, km, lambda c, n=n_of: -c.diag_brk(
-                  lambda st, n=n: Q(2 * n(st) + 1, 2), 2))),
-            r(f"uq{s} center vs K0", f"[K0^{s}, {o_lbl}] = 0",
-              _zc("Kp0" if s == "+" else "Km0", other)),
-            r(f"uq{s} center vs raise", f"[K_+^{s}, {o_lbl}] = 0", _zc(kp, other)),
-            r(f"uq{s} center vs lower", f"[K_-^{s}, {o_lbl}] = 0", _zc(km, other)),
-            r(f"suq{s} casimir chain lower-raise",
-              f"[K0^{s}]_2 [K0^{s} + 1]_2 - K_-^{s} K_+^{s} = ([1/2]^2 - 1)/[2]^2",
-              _eqr(lambda c, kp=kp, km=km, k0=k0: c.diag_brk(k0, 2)
-                   @ c.diag_brk(lambda st, k0=k0: k0(st) + 1, 2) - c[km] @ c[kp],
-                   const_rhs)),
-            r(f"suq{s} casimir chain raise-lower",
-              f"[K0^{s}]_2 [K0^{s} - 1]_2 - K_+^{s} K_-^{s} = ([1/2]^2 - 1)/[2]^2",
-              _eqr(lambda c, kp=kp, km=km, k0=k0: c.diag_brk(k0, 2)
-                   @ c.diag_brk(lambda st, k0=k0: k0(st) - 1, 2) - c[kp] @ c[km],
-                   const_rhs)),
-            r(f"suq{s} product helper raise",
-              f"K_-^{s} K_+^{s} = [N_{s}1 + 1][N_{s}1 + 2]/[2]^2",
-              _eqr(lambda c, kp=kp, km=km: c[km] @ c[kp],
-                   lambda c, n=n_of: c.over_brk(c.over_brk(
-                       c.diag_brk(lambda st, n=n: n(st) + 1)
-                       @ c.diag_brk(lambda st, n=n: n(st) + 2), 2), 2))),
-            r(f"suq{s} product helper lower",
-              f"K_+^{s} K_-^{s} = [N_{s}1][N_{s}1 - 1]/[2]^2",
-              _eqr(lambda c, kp=kp, km=km: c[kp] @ c[km],
-                   lambda c, n=n_of: c.over_brk(c.over_brk(
-                       c.diag_brk(lambda st, n=n: n(st))
-                       @ c.diag_brk(lambda st, n=n: n(st) - 1), 2), 2))),
-            r(f"suq{s} product half-shift form",
-              f"K_+^{s} K_-^{s} = {{[(2 N_{s}1 - 1)/2]^2 - [1/2]^2}}/[2]^2",
-              _eqr(lambda c, kp=kp, km=km: c[kp] @ c[km],
-                   lambda c, n=n_of: c.over_brk(c.over_brk(
-                       c.diag_brk(lambda st, n=n: Q(2 * n(st) - 1, 2))
-                       @ c.diag_brk(lambda st, n=n: Q(2 * n(st) - 1, 2))
-                       - c.diag_brk(lambda st: half) @ c.diag_brk(lambda st: half),
-                       2), 2))),
-            r(f"suq{s} bracket helper",
-              f"[K0^{s}]_2 [K0^{s} - 1]_2 = {{[(2 N_{s}1 - 1)/2]^2 - 1}}/[2]^2",
-              _eqr(lambda c, k0=k0: c.diag_brk(k0, 2)
-                   @ c.diag_brk(lambda st, k0=k0: k0(st) - 1, 2),
-                   lambda c, n=n_of: c.over_brk(c.over_brk(
-                       c.diag_brk(lambda st, n=n: Q(2 * n(st) - 1, 2))
-                       @ c.diag_brk(lambda st, n=n: Q(2 * n(st) - 1, 2))
-                       - c.ident(), 2), 2))),
+    for s, other in (("+", "N_-1"), ("-", "N_1")):
+        k0, kp, km, n = f"K0^{s}", f"K_+^{s}", f"K_-^{s}", f"N_{s}1"
+        rows += [
+            (f"uq{s} weight raise", f"[{k0}, {kp}] = {kp}"),
+            (f"uq{s} weight lower", f"[{k0}, {km}] = -{km}"),
+            (f"uq{s} commutator", f"[{kp}, {km}] = -[2 {k0}]_2"),
+            (f"uq{s} center vs K0", f"[{k0}, {other}] = 0"),
+            (f"uq{s} center vs raise", f"[{kp}, {other}] = 0"),
+            (f"uq{s} center vs lower", f"[{km}, {other}] = 0"),
+            (f"suq{s} casimir chain lower-raise",
+             f"[{k0}]_2 [{k0} + 1]_2 - {km} {kp} = ([1/2]^2 - 1)/[2]^2"),
+            (f"suq{s} casimir chain raise-lower",
+             f"[{k0}]_2 [{k0} - 1]_2 - {kp} {km} = ([1/2]^2 - 1)/[2]^2"),
+            (f"suq{s} product helper raise", f"{km} {kp} = [{n} + 1][{n} + 2]/[2]^2"),
+            (f"suq{s} product helper lower", f"{kp} {km} = [{n}][{n} - 1]/[2]^2"),
+            (f"suq{s} product half-shift form",
+             f"{kp} {km} = {{[(2 {n} - 1)/2]^2 - [1/2]^2}}/[2]^2"),
+            (f"suq{s} bracket helper",
+             f"[{k0}]_2 [{k0} - 1]_2 = {{[(2 {n} - 1)/2]^2 - 1}}/[2]^2"),
         ]
-    rels.append(
-        r("suq-pm casimir factored constant",
-          "([1/2]^2 - 1)/[2]^2 = ([1/4]_2 - [1/2]_2)([1/4]_2 + [1/2]_2)",
-          _eqr(const_rhs,
-               lambda c: (c.diag_brk(lambda st: Q(1, 4), 2)
-                          - c.diag_brk(lambda st: half, 2))
-               @ (c.diag_brk(lambda st: Q(1, 4), 2)
-                  + c.diag_brk(lambda st: half, 2)))))
-    return rels
+    rows.append(("suq-pm casimir factored constant",
+                 "([1/2]^2 - 1)/[2]^2 = ([1/4]_2 - [1/2]_2)([1/4]_2 + [1/2]_2)"))
+    return rows
 
 
-def _catalog_tensor() -> list[Relation]:
-    def r(name, anchor, builder, **kw):
-        return Relation(name, "tensor", anchor, builder, **kw)
-
-    nu = lambda st: st.nu
-    Qc = "qm2J0"  # q^(-2 J_0), the recurring right multiplier
-
-    def tq(c, name):
-        return c[name] @ c[Qc]
-
-    rels = [
-        r("trivial-self", "[T_0, T_0] = 0", _zc("T0", "T0")),
+def _catalog_tensor() -> list[tuple]:
+    rows = [
+        ("trivial-self", "[T_0, T_0] = 0"),
         # tensor-boson exchange rules
-        r("t-t-dagger", "[t_1, t_-1+]_{q^(-1)} = q^(-1/2) q^(-2J_0)",
-          _comm_eq("t1", "tdm1", lambda c: c.qpow(c[Qc], Q(-1, 2)), rho=-1)),
-        r("t-t-dagger mirror", "[t_-1, t_1+]_{q} = q^(1/2) q^(-2J_0)",
-          _comm_eq("tm1", "td1", lambda c: c.qpow(c[Qc], Q(1, 2)), rho=1)),
-        r("t-t-dagger same mode 1", "[t_1, t_1+] = 0", _zc("t1", "td1")),
-        r("t-t-dagger same mode -1", "[t_-1, t_-1+] = 0", _zc("tm1", "tdm1")),
-        r("t-dagger-pair", "[t_1+, t_-1+]_{q} = 0", _zc("td1", "tdm1", 1)),
-        r("t-dagger-pair mirror", "[t_-1+, t_1+]_{q^(-1)} = 0", _zc("tdm1", "td1", -1)),
-        r("t-pair", "[t_1, t_-1]_{q} = 0", _zc("t1", "tm1", 1)),
-        r("t-pair mirror", "[t_-1, t_1]_{q^(-1)} = 0", _zc("tm1", "t1", -1)),
+        ("t-t-dagger", "[t_1, t_-1+]_{q^(-1)} = q^(-1/2) q^(-2J_0)"),
+        ("t-t-dagger mirror", "[t_-1, t_1+]_{q} = q^(1/2) q^(-2J_0)"),
+        ("t-t-dagger same mode 1", "[t_1, t_1+] = 0"),
+        ("t-t-dagger same mode -1", "[t_-1, t_-1+] = 0"),
+        ("t-dagger-pair", "[t_1+, t_-1+]_{q} = 0"),
+        ("t-dagger-pair mirror", "[t_-1+, t_1+]_{q^(-1)} = 0"),
+        ("t-pair", "[t_1, t_-1]_{q} = 0"),
+        ("t-pair mirror", "[t_-1, t_1]_{q^(-1)} = 0"),
         # number-operator content of the quadratic pairings
-        r("script-N1 closed form", "t_1+ t_-1 = q^(1/2) [N_1] q^(N_-1)",
-          _eqr(lambda c: c["calN1"],
-               lambda c: c.qpow(c.diag_brk(lambda st: st.n1)
-                                @ c.diag_pow(lambda st: st.nm1), Q(1, 2)))),
-        r("script-N-1 closed form", "t_-1+ t_1 = q^(-1/2) [N_-1] q^(-N_1)",
-          _eqr(lambda c: c["calNm1"],
-               lambda c: c.qpow(c.diag_brk(lambda st: st.nm1)
-                                @ c.diag_pow(lambda st: -st.n1), Q(-1, 2)))),
-        r("t-exchange raise", "t_-1 t_1+ = q^(1/2) [N_1 + 1] q^(N_-1)",
-          _eqr(lambda c: c["tm1"] @ c["td1"],
-               lambda c: c.qpow(c.diag_brk(lambda st: st.n1 + 1)
-                                @ c.diag_pow(lambda st: st.nm1), Q(1, 2)))),
-        r("t-exchange lower", "t_1 t_-1+ = q^(-1/2) [N_-1 + 1] q^(-N_1)",
-          _eqr(lambda c: c["t1"] @ c["tdm1"],
-               lambda c: c.qpow(c.diag_brk(lambda st: st.nm1 + 1)
-                                @ c.diag_pow(lambda st: -st.n1), Q(-1, 2)))),
+        ("script-N1 closed form", "t_1+ t_-1 = q^(1/2) [N_1] q^(N_-1)"),
+        ("script-N-1 closed form", "t_-1+ t_1 = q^(-1/2) [N_-1] q^(-N_1)"),
+        ("t-exchange raise", "t_-1 t_1+ = q^(1/2) [N_1 + 1] q^(N_-1)"),
+        ("t-exchange lower", "t_1 t_-1+ = q^(-1/2) [N_-1 + 1] q^(-N_1)"),
         # L_m in terms of the su_q(2) generators
-        r("L-raise via J", "L_1 = q^(-1/2) J_+ q^(-J_0)",
-          _eqr(lambda c: c["L1"],
-               lambda c: c.qpow(c["Jp"] @ c.diag_pow(lambda st: -st.m), Q(-1, 2)))),
-        r("L-lower via J", "L_-1 = q^(1/2) J_- q^(-J_0)",
-          _eqr(lambda c: c["Lm1"],
-               lambda c: c.qpow(c["Jm"] @ c.diag_pow(lambda st: -st.m), Q(1, 2)))),
-        r("L0 closed form q-power",
-          "L_0 = (q [N_1] q^(N_-1) - q^(-1) [N_-1] q^(-N_1))/[2]",
-          _eqr(lambda c: c["L01"],
-               lambda c: c.over_brk(
-                   c.qpow(c.diag_brk(lambda st: st.n1)
-                          @ c.diag_pow(lambda st: st.nm1), 1)
-                   - c.qpow(c.diag_brk(lambda st: st.nm1)
-                            @ c.diag_pow(lambda st: -st.n1), -1), 2))),
-        r("L0 closed form bracket",
-          "L_0 = (q [N_1][N_-1 + 1] - q^(-1) [N_-1][N_1 + 1])/[2]",
-          _eqr(lambda c: c["L01"],
-               lambda c: c.over_brk(
-                   c.qpow(c.diag_brk(lambda st: st.n1)
-                          @ c.diag_brk(lambda st: st.nm1 + 1), 1)
-                   - c.qpow(c.diag_brk(lambda st: st.nm1)
-                            @ c.diag_brk(lambda st: st.n1 + 1), -1), 2))),
-        r("L0-scalar equals [N]", "L_0^0 = [N_1] q^(N_-1) + [N_-1] q^(-N_1) = [N]",
-          _eqr(lambda c: c["L00"], lambda c: c.diag_brk(nu))),
+        ("L-raise via J", "L_1 = q^(-1/2) J_+ q^(-J_0)"),
+        ("L-lower via J", "L_-1 = q^(1/2) J_- q^(-J_0)"),
+        ("L0 closed form q-power", "L_0 = (q [N_1] q^(N_-1) - q^(-1) [N_-1] q^(-N_1))/[2]"),
+        ("L0 closed form bracket", "L_0 = (q [N_1][N_-1 + 1] - q^(-1) [N_-1][N_1 + 1])/[2]"),
+        ("L0-scalar equals [N]", "L_0^0 = [N_1] q^(N_-1) + [N_-1] q^(-N_1) = [N]"),
     ]
     # mode-number gradings of the elementary tensor operators
-    for k, nk, tk_d, tmk, tmk_d, tk in (
-        (1, "N1", "td1", "tm1", "tdm1", "t1"),
-        (-1, "Nm1", "tdm1", "t1", "td1", "tm1"),
-    ):
-        lbl = f"N_{k}"
-        rels += [
-            r(f"t-grading {lbl} create", f"[{lbl}, t_{k}+] = t_{k}+",
-              _comm_eq(nk, tk_d, lambda c, o=tk_d: c[o])),
-            r(f"t-grading {lbl} annihilate", f"[{lbl}, t_{-k}] = -t_{-k}",
-              _comm_eq(nk, tmk, lambda c, o=tmk: -c[o])),
-            r(f"t-grading {lbl} zero create", f"[{lbl}, t_{-k}+] = 0", _zc(nk, tmk_d)),
-            r(f"t-grading {lbl} zero annihilate", f"[{lbl}, t_{k}] = 0", _zc(nk, tk)),
-            r(f"t-weight J0 create {k}", f"[J_0, t_{k}+] = ({k}/2) t_{k}+",
-              _comm_eq("J0", tk_d, lambda c, o=tk_d, k=k: c.frac(c[o], Q(k, 2)))),
-            r(f"t-weight J0 annihilate {k}", f"[J_0, t_{k}] = ({k}/2) t_{k}",
-              _comm_eq("J0", tk, lambda c, o=tk, k=k: c.frac(c[o], Q(k, 2)))),
+    for k in (1, -1):
+        n = f"N_{k}"
+        rows += [
+            (f"t-grading {n} create", f"[{n}, t_{k}+] = t_{k}+"),
+            (f"t-grading {n} annihilate", f"[{n}, t_{-k}] = -t_{-k}"),
+            (f"t-grading {n} zero create", f"[{n}, t_{-k}+] = 0"),
+            (f"t-grading {n} zero annihilate", f"[{n}, t_{k}] = 0"),
+            (f"t-weight J0 create {k}", f"[J_0, t_{k}+] = ({k}/2) t_{k}+"),
+            (f"t-weight J0 annihilate {k}", f"[J_0, t_{k}] = ({k}/2) t_{k}"),
         ]
-    rels += [
+    rows += [
         # so_q(3)-type triple of the L_m
-        r("sut2-commutator", "[L_+1, L_-1] = [2] L_0 q^(-2J_0)",
-          _comm_eq("L1", "Lm1", lambda c: c.brk(tq(c, "L01"), 2))),
-        r("sut2-weight raise", "[L_0, L_+1] = q^(-1) L_+1 q^(-2J_0)",
-          _comm_eq("L01", "L1", lambda c: c.qpow(tq(c, "L1"), -1))),
-        r("sut2-weight lower", "[L_0, L_-1] = -q L_-1 q^(-2J_0)",
-          _comm_eq("L01", "Lm1", lambda c: -c.qpow(tq(c, "Lm1"), 1))),
-        r("ut2-center vs raise", "[L_0^0, L_+1] = 0", _zc("L00", "L1")),
-        r("ut2-center vs weight", "[L_0^0, L_0] = 0", _zc("L00", "L01")),
-        r("ut2-center vs lower", "[L_0^0, L_-1] = 0", _zc("L00", "Lm1")),
-        r("N vs L raise", "[L_+1, N] = 0", _zc("L1", "N")),
-        r("N vs L weight", "[L_0, N] = 0", _zc("L01", "N")),
-        r("N vs L lower", "[L_-1, N] = 0", _zc("Lm1", "N")),
+        ("sut2-commutator", "[L_+1, L_-1] = [2] L_0 q^(-2J_0)"),
+        ("sut2-weight raise", "[L_0, L_+1] = q^(-1) L_+1 q^(-2J_0)"),
+        ("sut2-weight lower", "[L_0, L_-1] = -q L_-1 q^(-2J_0)"),
+        ("ut2-center vs raise", "[L_0^0, L_+1] = 0"),
+        ("ut2-center vs weight", "[L_0^0, L_0] = 0"),
+        ("ut2-center vs lower", "[L_0^0, L_-1] = 0"),
+        ("N vs L raise", "[L_+1, N] = 0"),
+        ("N vs L weight", "[L_0, N] = 0"),
+        ("N vs L lower", "[L_-1, N] = 0"),
     ]
-    for m_lbl, op, sign in (("+1", "T1", -2), ("0", "T0", -2), ("-1", "Tm1", -2),
-                            ("+1", "Tt1", 2), ("0", "Tt0", 2), ("-1", "Ttm1", 2)):
-        tilde = "~" if op.startswith("Tt") else ""
-        rels.append(r(f"N-grading {tilde}T{m_lbl}",
-                      f"[{tilde}T_{m_lbl}, N] = {sign} {tilde}T_{m_lbl}",
-                      _comm_eq(op, "N", lambda c, o=op, s=sign: c.frac(c[o], s))))
-    lhs_l2 = lambda c: (c.qpow(c["Lm1"] @ c["L1"], 1) + c.qpow(c["L1"] @ c["Lm1"], -1))
-    rhs_l2 = lambda c: c.over_brk(c.diag_brk(nu) @ c.diag_brk(lambda st: st.nu + 2), 2)
-    rels += [
-        r("sut2-casimir closed",
-          "q L_-1 L_+1 + q^(-1) L_+1 L_-1 + [2] L_0 L_0 = [N][N+2]/[2]",
-          _eqr(lambda c: lhs_l2(c) + c.brk(c["L01"] @ c["L01"], 2), rhs_l2)),
-        r("sut2-casimir closed (variant)",
-          "q L_-1 L_+1 + q^(-1) L_+1 L_-1 - L_0 L_0 = [N][N+2]/[2]",
-          _eqr(lambda c: lhs_l2(c) - c["L01"] @ c["L01"], rhs_l2),
-          expect_holds=False, variant_of="sut2-casimir closed",
-          note="recorded -L_0 L_0 reading; the bracket-weighted form verifies"),
-    ]
-    # adjoint so_q(3)-vector behaviour of T and ~T under L_+1, L_-1
-    ntp = [
-        ("so3-vector T raise onto 0", "[L_+1, T_-1] = sqrt([2]) T_0 q^(-2J_0)",
-         ("L1", "Tm1"), "T0", Q(0), 1, None),
-        ("so3-vector T raise onto +1", "[L_+1, T_0] = q^(-1) sqrt([2]) T_1 q^(-2J_0)",
-         ("L1", "T0"), "T1", Q(-1), 1, None),
-        ("so3-vector T lower onto 0", "[L_-1, T_1] = sqrt([2]) T_0 q^(-2J_0)",
-         ("Lm1", "T1"), "T0", Q(0), 1, None),
-        ("so3-vector T lower onto -1", "[L_-1, T_0] = q sqrt([2]) T_-1 q^(-2J_0)",
-         ("Lm1", "T0"), "Tm1", Q(1), 1, None),
-        ("so3-vector T-tilde raise onto 0", "[L_+1, ~T_-1] = -sqrt([2]) ~T_0 q^(-2J_0)",
-         ("L1", "Ttm1"), "Tt0", Q(0), -1, None),
+    for t, sign in (("T", -2), ("~T", 2)):
+        for m in ("+1", "0", "-1"):
+            rows.append((f"N-grading {t}{m}", f"[{t}_{m}, N] = {sign} {t}_{m}"))
+    rows += [
+        ("sut2-casimir closed", f"{_L2} = [N][N+2]/[2]"),
+        ("sut2-casimir closed (variant)",
+         "q L_-1 L_+1 + q^(-1) L_+1 L_-1 - L_0 L_0 = [N][N+2]/[2]",
+         "recorded -L_0 L_0 reading; the bracket-weighted form verifies"),
+        # adjoint so_q(3)-vector behaviour of T and ~T under L_+1, L_-1
+        ("so3-vector T raise onto 0", "[L_+1, T_-1] = sqrt([2]) T_0 q^(-2J_0)"),
+        ("so3-vector T raise onto +1", "[L_+1, T_0] = q^(-1) sqrt([2]) T_1 q^(-2J_0)"),
+        ("so3-vector T lower onto 0", "[L_-1, T_1] = sqrt([2]) T_0 q^(-2J_0)"),
+        ("so3-vector T lower onto -1", "[L_-1, T_0] = q sqrt([2]) T_-1 q^(-2J_0)"),
+        ("so3-vector T-tilde raise onto 0", "[L_+1, ~T_-1] = -sqrt([2]) ~T_0 q^(-2J_0)"),
         ("so3-vector T-tilde raise onto +1",
-         "[L_+1, ~T_0] = -q^(-1) sqrt([2]) ~T_1 q^(-2J_0)",
-         ("L1", "Tt0"), "Tt1", Q(-1), -1, None),
-        ("so3-vector T-tilde lower onto 0", "[L_-1, ~T_1] = -sqrt([2]) ~T_0 q^(-2J_0)",
-         ("Lm1", "Tt1"), "Tt0", Q(0), -1, None),
+         "[L_+1, ~T_0] = -q^(-1) sqrt([2]) ~T_1 q^(-2J_0)"),
+        ("so3-vector T-tilde lower onto 0", "[L_-1, ~T_1] = -sqrt([2]) ~T_0 q^(-2J_0)"),
         ("so3-vector T-tilde lower onto -1",
-         "[L_-1, ~T_0] = -q sqrt([2]) ~T_-1 q^(-2J_0)",
-         ("Lm1", "Tt0"), "Ttm1", Q(1), -1, None),
-    ]
-    for name, anchor, (la, tb), target, pw, sgn, _ in ntp:
-        rels.append(r(name, anchor, _eqr(
-            lambda c, la=la, tb=tb: c.comm(c[la], c[tb]),
-            lambda c, t=target, pw=pw, sgn=sgn:
-                c.frac(c.qpow(c.sqrt2(tq(c, t)), pw), sgn))))
-    rels += [
-        r("so3-vector T raise top", "[L_+1, T_1] = 0", _zc("L1", "T1")),
-        r("so3-vector T lower bottom", "[L_-1, T_-1] = 0", _zc("Lm1", "Tm1")),
-        r("so3-vector T-tilde raise top", "[L_+1, ~T_1] = 0", _zc("L1", "Tt1")),
-        r("so3-vector T-tilde lower bottom", "[L_-1, ~T_-1] = 0", _zc("Lm1", "Ttm1")),
-    ]
-    for name, anchor, pair, target, pw, sgn in (
+         "[L_-1, ~T_0] = -q sqrt([2]) ~T_-1 q^(-2J_0)"),
+        ("so3-vector T raise top", "[L_+1, T_1] = 0"),
+        ("so3-vector T lower bottom", "[L_-1, T_-1] = 0"),
+        ("so3-vector T-tilde raise top", "[L_+1, ~T_1] = 0"),
+        ("so3-vector T-tilde lower bottom", "[L_-1, ~T_-1] = 0"),
         ("so3-vector T raise onto 0 (variant)",
-         "[L_+1, T_-1] = q^(-1) sqrt([2]) T_0 q^(-2J_0)", ("L1", "Tm1"), "T0", Q(-1), 1),
+         "[L_+1, T_-1] = q^(-1) sqrt([2]) T_0 q^(-2J_0)"),
         ("so3-vector T raise onto +1 (variant)",
-         "[L_+1, T_0] = q^(-2) sqrt([2]) T_1 q^(-2J_0)", ("L1", "T0"), "T1", Q(-2), 1),
-        ("so3-vector T lower onto 0 (variant)",
-         "[L_-1, T_1] = -q sqrt([2]) T_0 q^(-2J_0)", ("Lm1", "T1"), "T0", Q(1), -1),
-        ("so3-vector T lower onto -1 (variant)",
-         "[L_-1, T_0] = -q^2 sqrt([2]) T_-1 q^(-2J_0)", ("Lm1", "T0"), "Tm1", Q(2), -1),
+         "[L_+1, T_0] = q^(-2) sqrt([2]) T_1 q^(-2J_0)"),
+        ("so3-vector T lower onto 0 (variant)", "[L_-1, T_1] = -q sqrt([2]) T_0 q^(-2J_0)"),
+        ("so3-vector T lower onto -1 (variant)", "[L_-1, T_0] = -q^2 sqrt([2]) T_-1 q^(-2J_0)"),
         ("so3-vector T-tilde raise onto 0 (variant)",
-         "[L_+1, ~T_-1] = sqrt([2]) ~T_0 q^(-2J_0)", ("L1", "Ttm1"), "Tt0", Q(0), 1),
+         "[L_+1, ~T_-1] = sqrt([2]) ~T_0 q^(-2J_0)"),
         ("so3-vector T-tilde raise onto +1 (variant)",
-         "[L_+1, ~T_0] = q^(-1) sqrt([2]) ~T_1 q^(-2J_0)", ("L1", "Tt0"), "Tt1", Q(-1), 1),
-    ):
-        rels.append(r(name, anchor, _eqr(
-            lambda c, la=pair[0], tb=pair[1]: c.comm(c[la], c[tb]),
-            lambda c, t=target, pw=pw, sgn=sgn:
-                c.frac(c.qpow(c.sqrt2(tq(c, t)), pw), sgn)),
-            expect_holds=False, variant_of=name.replace(" (variant)", ""),
-            note="recorded coefficient reading; the canonical entry verifies"))
-    # pairing of T, ~T with the script number operators
-    nt_cases = [
-        ("pair-scriptN T-tilde k=1",
-         "[~T_-1, script-N_1]_{q^2} = q^(5/2) [2] ~T_-1 q^(-2J_0)",
-         ("Ttm1", "calN1", 2), ("Ttm1", Q(5, 2), True), Q(3, 2)),
-        ("pair-scriptN T-tilde k=-1",
-         "[~T_1, script-N_-1]_{q^(-2)} = q^(-5/2) [2] ~T_1 q^(-2J_0)",
-         ("Tt1", "calNm1", -2), ("Tt1", Q(-5, 2), True), Q(-3, 2)),
-        ("scriptN-pair T k=1",
-         "[script-N_1, T_1]_{q^2} = q^(1/2) [2] T_1 q^(-2J_0)",
-         ("calN1", "T1", 2), ("T1", Q(1, 2), True), Q(-1, 2)),
-        ("scriptN-pair T k=-1",
-         "[script-N_-1, T_-1]_{q^(-2)} = q^(-1/2) [2] T_-1 q^(-2J_0)",
-         ("calNm1", "Tm1", -2), ("Tm1", Q(-1, 2), True), Q(1, 2)),
-        ("pair-scriptN T-tilde-0 k=1",
-         "[~T_0, script-N_1]_{q^2} = q^(3/2) ~T_0 q^(-2J_0)",
-         ("Tt0", "calN1", 2), ("Tt0", Q(3, 2), False), Q(1, 2)),
-        ("pair-scriptN T-tilde-0 k=-1",
-         "[~T_0, script-N_-1]_{q^(-2)} = q^(-3/2) ~T_0 q^(-2J_0)",
-         ("Tt0", "calNm1", -2), ("Tt0", Q(-3, 2), False), Q(-1, 2)),
-        ("scriptN-pair T0 k=1",
-         "[script-N_1, T_0]_{q^2} = q^(3/2) T_0 q^(-2J_0)",
-         ("calN1", "T0", 2), ("T0", Q(3, 2), False), Q(1, 2)),
-        ("scriptN-pair T0 k=-1",
-         "[script-N_-1, T_0]_{q^(-2)} = q^(-3/2) T_0 q^(-2J_0)",
-         ("calNm1", "T0", -2), ("T0", Q(-3, 2), False), Q(-1, 2)),
+         "[L_+1, ~T_0] = q^(-1) sqrt([2]) ~T_1 q^(-2J_0)"),
     ]
-    for name, anchor, (a, b, rho), (target, pw, with_two), pw_var in nt_cases:
-        def rhs(c, t=target, pw=pw, w2=with_two):
-            out = c.qpow(tq(c, t), pw)
-            return c.brk(out, 2) if w2 else out
-        rels.append(r(name, anchor, _eqr(
-            lambda c, a=a, b=b, rho=rho: c.comm(c[a], c[b], rho), rhs)))
-        var_anchor = anchor.replace(f"q^({pw})", f"q^({pw_var})").replace(
-            f"q^{pw}", f"q^{pw_var}")
-        def rhs_var(c, t=target, pw=pw_var, w2=with_two):
-            out = c.qpow(tq(c, t), pw)
-            return c.brk(out, 2) if w2 else out
-        rels.append(r(f"{name} (variant)", var_anchor, _eqr(
-            lambda c, a=a, b=b, rho=rho: c.comm(c[a], c[b], rho), rhs_var),
-            expect_holds=False, variant_of=name,
-            note="recorded q-power reading; the canonical entry verifies"))
-    rels += [
-        r("pair-scriptN T-tilde k=1 zero", "[~T_1, script-N_1]_{q^2} = 0",
-          _zc("Tt1", "calN1", 2)),
-        r("pair-scriptN T-tilde k=-1 zero", "[~T_-1, script-N_-1]_{q^(-2)} = 0",
-          _zc("Ttm1", "calNm1", -2)),
-        r("scriptN-pair T k=1 zero", "[script-N_1, T_-1]_{q^2} = 0",
-          _zc("calN1", "Tm1", 2)),
-        r("scriptN-pair T k=-1 zero", "[script-N_-1, T_1]_{q^(-2)} = 0",
-          _zc("calNm1", "T1", -2)),
+    # pairing of T, ~T with the script number operators
+    for name, pair, rhs, pw, pw_var in (
+        ("pair-scriptN T-tilde k=1", "[~T_-1, script-N_1]_{q^2}", "[2] ~T_-1", "5/2", "3/2"),
+        ("pair-scriptN T-tilde k=-1", "[~T_1, script-N_-1]_{q^(-2)}", "[2] ~T_1",
+         "-5/2", "-3/2"),
+        ("scriptN-pair T k=1", "[script-N_1, T_1]_{q^2}", "[2] T_1", "1/2", "-1/2"),
+        ("scriptN-pair T k=-1", "[script-N_-1, T_-1]_{q^(-2)}", "[2] T_-1", "-1/2", "1/2"),
+        ("pair-scriptN T-tilde-0 k=1", "[~T_0, script-N_1]_{q^2}", "~T_0", "3/2", "1/2"),
+        ("pair-scriptN T-tilde-0 k=-1", "[~T_0, script-N_-1]_{q^(-2)}", "~T_0",
+         "-3/2", "-1/2"),
+        ("scriptN-pair T0 k=1", "[script-N_1, T_0]_{q^2}", "T_0", "3/2", "1/2"),
+        ("scriptN-pair T0 k=-1", "[script-N_-1, T_0]_{q^(-2)}", "T_0", "-3/2", "-1/2"),
+    ):
+        rows += [
+            (name, f"{pair} = q^({pw}) {rhs} q^(-2J_0)"),
+            (f"{name} (variant)", f"{pair} = q^({pw_var}) {rhs} q^(-2J_0)", _Q_POWER),
+        ]
+    rows += [
+        ("pair-scriptN T-tilde k=1 zero", "[~T_1, script-N_1]_{q^2} = 0"),
+        ("pair-scriptN T-tilde k=-1 zero", "[~T_-1, script-N_-1]_{q^(-2)} = 0"),
+        ("scriptN-pair T k=1 zero", "[script-N_1, T_-1]_{q^2} = 0"),
+        ("scriptN-pair T k=-1 zero", "[script-N_-1, T_1]_{q^(-2)} = 0"),
     ]
     # q-commutativity within each rank-one multiplet
-    for fam, pfx in (("T", ""), ("Tt", "~")):
+    for t in ("T", "~T"):
         for m1, m2 in ((1, 0), (1, -1), (0, 1), (0, -1), (-1, 1), (-1, 0)):
-            nm = lambda m: {1: "1", 0: "0", -1: "m1"}[m]
-            lbl = lambda m: {1: "+1", 0: "0", -1: "-1"}[m]
-            a, b = f"{fam}{nm(m1)}", f"{fam}{nm(m2)}"
-            rels.append(r(
-                f"q-nilpotent {pfx}T {lbl(m1)},{lbl(m2)}",
-                f"[{pfx}T_{m1}, {pfx}T_{m2}]_{{q^({2 * (m1 - m2)})}} = 0",
-                _zc(a, b, 2 * (m1 - m2))))
-    # cross pairings T with ~T at m_1 + m_2 = +-1 (transition part)
-    c19l = [
+            lbl = {1: "+1", 0: "0", -1: "-1"}
+            rows.append((f"q-nilpotent {t} {lbl[m1]},{lbl[m2]}",
+                         f"[{t}_{m1}, {t}_{m2}]_{{q^({2 * (m1 - m2)})}} = 0"))
+    rows += [
+        # cross pairings T with ~T at m_1 + m_2 = +-1 (transition part)
         ("T-tilde-T cross (+1,0)",
-         "[T_1, ~T_0]_{q^(-2)} = -q^(-2) sqrt([2]) [2] L_1 q^(-2J_0)",
-         ("T1", "Tt0", -2), ("L1", Q(-2)), Q(-1)),
-        ("T-tilde-T cross (0,+1)",
-         "[T_0, ~T_1]_{q^2} = -sqrt([2]) [2] L_1 q^(-2J_0)",
-         ("T0", "Tt1", 2), ("L1", Q(0)), None),
+         "[T_1, ~T_0]_{q^(-2)} = -q^(-2) sqrt([2]) [2] L_1 q^(-2J_0)"),
+        ("T-tilde-T cross (+1,0) (variant)",
+         "[T_1, ~T_0]_{q^(-2)} = -q^(-1) sqrt([2]) [2] L_1 q^(-2J_0)"),
+        ("T-tilde-T cross (0,+1)", "[T_0, ~T_1]_{q^2} = -sqrt([2]) [2] L_1 q^(-2J_0)"),
         ("T-tilde-T cross (-1,0)",
-         "[T_-1, ~T_0]_{q^2} = -q^2 sqrt([2]) [2] L_-1 q^(-2J_0)",
-         ("Tm1", "Tt0", 2), ("Lm1", Q(2)), Q(1)),
-        ("T-tilde-T cross (0,-1)",
-         "[T_0, ~T_-1]_{q^(-2)} = -sqrt([2]) [2] L_-1 q^(-2J_0)",
-         ("T0", "Ttm1", -2), ("Lm1", Q(0)), "flip"),
-    ]
-    for name, anchor, (a, b, rho), (target, pw), pw_var in c19l:
-        def rhs(c, t=target, pw=pw):
-            return -c.qpow(c.sqrt2(c.brk(tq(c, t), 2)), pw)
-        rels.append(r(name, anchor, _eqr(
-            lambda c, a=a, b=b, rho=rho: c.comm(c[a], c[b], rho), rhs)))
-        if pw_var is None:
-            continue
-        if pw_var == "flip":
-            var_anchor = anchor.replace("= -", "= +")
-            def rhs_var(c, t=target, pw=pw):
-                return c.qpow(c.sqrt2(c.brk(tq(c, t), 2)), pw)
-        else:
-            var_anchor = anchor.replace(f"-q^({pw})", f"-q^({pw_var})").replace(
-                "-q^2", f"-q^{pw_var}")
-            def rhs_var(c, t=target, pw=pw_var):
-                return -c.qpow(c.sqrt2(c.brk(tq(c, t), 2)), pw)
-        rels.append(r(f"{name} (variant)", var_anchor, _eqr(
-            lambda c, a=a, b=b, rho=rho: c.comm(c[a], c[b], rho), rhs_var),
-            expect_holds=False, variant_of=name,
-            note="recorded coefficient reading; the canonical entry verifies"))
-    rels += [
-        r("T-tilde-T cross (+1,+1)", "[T_1, ~T_1] = 0", _zc("T1", "Tt1")),
-        r("T-tilde-T cross (-1,-1)", "[T_-1, ~T_-1] = 0", _zc("Tm1", "Ttm1")),
-    ]
-
-    # cross pairings at m_1 + m_2 = 0 (diagonal part)
-    def c19s_rhs(sign, pw_q, pw_n):
-        def rhs(c):
-            inner = (c.qpow(c[Qc], pw_q)
-                     + c.qpow(c.brk(c["calN1" if sign > 0 else "calNm1"], 2), pw_n))
-            return -c.brk(inner @ c[Qc], 2)
-        return rhs
-
-    rels += [
-        r("T-tilde-T m1+m2=0, top",
-          "[T_1, ~T_-1]_{q^(-4)} = -[2] {q^(-3) q^(-2J_0)"
-          " + q^(-3/2) [2] script-N_1} q^(-2J_0)",
-          _eqr(lambda c: c.comm(c["T1"], c["Ttm1"], -4), c19s_rhs(1, -3, Q(-3, 2)))),
-        r("T-tilde-T m1+m2=0, top (variant)",
-          "[T_1, ~T_-1]_{q^(-4)} = -[2] {q^(-2) q^(-2J_0)"
-          " + q^(1/2) [2] script-N_1} q^(-2J_0)",
-          _eqr(lambda c: c.comm(c["T1"], c["Ttm1"], -4), c19s_rhs(1, -2, Q(1, 2))),
-          expect_holds=False, variant_of="T-tilde-T m1+m2=0, top",
-          note="recorded coefficient reading; the canonical entry verifies"),
-        r("T-tilde-T m1+m2=0, middle", "[T_0, ~T_0] = -[2][N + 1] q^(-2J_0)",
-          _eqr(lambda c: c.comm(c["T0"], c["Tt0"]),
-               lambda c: -c.brk(c.diag_brk(lambda st: st.nu + 1) @ c[Qc], 2))),
-        r("T-tilde-T m1+m2=0, middle (variant)", "[T_0, ~T_0] = [2][N + 1] q^(-2J_0)",
-          _eqr(lambda c: c.comm(c["T0"], c["Tt0"]),
-               lambda c: c.brk(c.diag_brk(lambda st: st.nu + 1) @ c[Qc], 2)),
-          expect_holds=False, variant_of="T-tilde-T m1+m2=0, middle",
-          note="recorded sign reading; the canonical entry verifies"),
-        r("T-tilde-T m1+m2=0, bottom",
-          "[T_-1, ~T_1]_{q^4} = -[2] {q^3 q^(-2J_0)"
-          " + q^(3/2) [2] script-N_-1} q^(-2J_0)",
-          _eqr(lambda c: c.comm(c["Tm1"], c["Tt1"], 4), c19s_rhs(-1, 3, Q(3, 2)))),
-        r("T-tilde-T m1+m2=0, bottom (variant)",
-          "[T_-1, ~T_1]_{q^4} = -[2] {q^2 q^(-2J_0)"
-          " + q^(-1/2) [2] script-N_-1} q^(-2J_0)",
-          _eqr(lambda c: c.comm(c["Tm1"], c["Tt1"], 4), c19s_rhs(-1, 2, Q(-1, 2))),
-          expect_holds=False, variant_of="T-tilde-T m1+m2=0, bottom",
-          note="recorded coefficient reading; the canonical entry verifies"),
+         "[T_-1, ~T_0]_{q^2} = -q^2 sqrt([2]) [2] L_-1 q^(-2J_0)"),
+        ("T-tilde-T cross (-1,0) (variant)",
+         "[T_-1, ~T_0]_{q^2} = -q^1 sqrt([2]) [2] L_-1 q^(-2J_0)"),
+        ("T-tilde-T cross (0,-1)", "[T_0, ~T_-1]_{q^(-2)} = -sqrt([2]) [2] L_-1 q^(-2J_0)"),
+        ("T-tilde-T cross (0,-1) (variant)",
+         "[T_0, ~T_-1]_{q^(-2)} = +sqrt([2]) [2] L_-1 q^(-2J_0)"),
+        ("T-tilde-T cross (+1,+1)", "[T_1, ~T_1] = 0"),
+        ("T-tilde-T cross (-1,-1)", "[T_-1, ~T_-1] = 0"),
+        # cross pairings at m_1 + m_2 = 0 (diagonal part)
+        ("T-tilde-T m1+m2=0, top",
+         "[T_1, ~T_-1]_{q^(-4)} = -[2] {q^(-3) q^(-2J_0)"
+         " + q^(-3/2) [2] script-N_1} q^(-2J_0)"),
+        ("T-tilde-T m1+m2=0, top (variant)",
+         "[T_1, ~T_-1]_{q^(-4)} = -[2] {q^(-2) q^(-2J_0)"
+         " + q^(1/2) [2] script-N_1} q^(-2J_0)"),
+        ("T-tilde-T m1+m2=0, middle", "[T_0, ~T_0] = -[2][N + 1] q^(-2J_0)"),
+        ("T-tilde-T m1+m2=0, middle (variant)", "[T_0, ~T_0] = [2][N + 1] q^(-2J_0)",
+         "recorded sign reading; the canonical entry verifies"),
+        ("T-tilde-T m1+m2=0, bottom",
+         "[T_-1, ~T_1]_{q^4} = -[2] {q^3 q^(-2J_0)"
+         " + q^(3/2) [2] script-N_-1} q^(-2J_0)"),
+        ("T-tilde-T m1+m2=0, bottom (variant)",
+         "[T_-1, ~T_1]_{q^4} = -[2] {q^2 q^(-2J_0)"
+         " + q^(-1/2) [2] script-N_-1} q^(-2J_0)"),
         # the square of T_0 as a T_+1 T_-1 transition
-        r("T0-squared transition", "(T_0)^2 = q^(-2) [2] T_1 T_-1",
-          _eqr(lambda c: c["T0"] @ c["T0"],
-               lambda c: c.qpow(c.brk(c["T1"] @ c["Tm1"], 2), -2))),
-        r("T0-squared transition reversed", "(T_0)^2 = q^2 [2] T_-1 T_1",
-          _eqr(lambda c: c["T0"] @ c["T0"],
-               lambda c: c.qpow(c.brk(c["Tm1"] @ c["T1"], 2), 2))),
-        r("T0-squared transition (variant)", "(T_0)^2 = q^(-1) [2] T_1 T_-1",
-          _eqr(lambda c: c["T0"] @ c["T0"],
-               lambda c: c.qpow(c.brk(c["T1"] @ c["Tm1"], 2), -1)),
-          expect_holds=False, variant_of="T0-squared transition",
-          note="recorded q-power reading; the canonical entry verifies"),
+        ("T0-squared transition", "(T_0)^2 = q^(-2) [2] T_1 T_-1"),
+        ("T0-squared transition reversed", "(T_0)^2 = q^2 [2] T_-1 T_1"),
+        ("T0-squared transition (variant)", "(T_0)^2 = q^(-1) [2] T_1 T_-1", _Q_POWER),
         # scalar squares of the rank-one multiplets
-        r("scalar-square T.T-tilde",
-          "q T_-1 ~T_1 + q^(-1) T_1 ~T_-1 + T_0 ~T_0 = [N][N - 1]",
-          _eqr(lambda c: c.qpow(c["Tm1"] @ c["Tt1"], 1)
-               + c.qpow(c["T1"] @ c["Ttm1"], -1) + c["T0"] @ c["Tt0"],
-               lambda c: c.diag_brk(nu) @ c.diag_brk(lambda st: st.nu - 1))),
-        r("scalar-square T-tilde.T",
-          "q ~T_-1 T_1 + q^(-1) ~T_1 T_-1 + ~T_0 T_0 = [N + 2][N + 3]",
-          _eqr(lambda c: c.qpow(c["Ttm1"] @ c["T1"], 1)
-               + c.qpow(c["Tt1"] @ c["Tm1"], -1) + c["Tt0"] @ c["T0"],
-               lambda c: c.diag_brk(lambda st: st.nu + 2)
-               @ c.diag_brk(lambda st: st.nu + 3))),
+        ("scalar-square T.T-tilde", "q T_-1 ~T_1 + q^(-1) T_1 ~T_-1 + T_0 ~T_0 = [N][N - 1]"),
+        ("scalar-square T-tilde.T",
+         "q ~T_-1 T_1 + q^(-1) ~T_1 T_-1 + ~T_0 T_0 = [N + 2][N + 3]"),
     ]
-    return rels
+    return rows
 
 
-_CATALOG_BUILDERS = {
+_CATALOG_ROWS = {
     "classical": _catalog_classical,
     "qboson": _catalog_qboson,
     "tensor": _catalog_tensor,
@@ -1367,13 +968,23 @@ _CATALOG_BUILDERS = {
 _CATALOG_CACHE: dict[str, tuple[Relation, ...]] = {}
 
 
+def _relation(family: str, name: str, anchor: str, note: str | None = None) -> Relation:
+    """A catalog row as a relation; a name ending in " (variant)" marks a
+    recorded variant reading of the entry named without it."""
+    canonical = name.removesuffix(" (variant)")
+    variant = canonical != name
+    return Relation(name, family, anchor, relation_builder(name, family, anchor),
+                    expect_holds=not variant, variant_of=canonical if variant else None,
+                    note=note or (_COEFFICIENT if variant else None))
+
+
 def relation_catalog(family: str) -> tuple[Relation, ...]:
     """All named relations of a family, canonical entries and recorded
-    variants alike."""
-    if family not in _CATALOG_BUILDERS:
+    variants alike.  The anchors are parsed on the family's first call."""
+    if family not in _CATALOG_ROWS:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     if family not in _CATALOG_CACHE:
-        rels = tuple(_CATALOG_BUILDERS[family]())
+        rels = tuple(_relation(family, *row) for row in _CATALOG_ROWS[family]())
         names = [r.name for r in rels]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})

@@ -245,6 +245,15 @@ class LaurentPoly:
         """Exact value at q = 1 (sum of coefficients)."""
         return sum(self.c.values(), Q(0))
 
+    def over_s_minus_one(self) -> "LaurentPoly":
+        """The exact quotient by (s - 1), by synthetic division from the
+        top exponent; the remainder p(1) is dropped, so p(1) must be 0."""
+        out, acc = {}, 0
+        for k in range(max(self.c), min(self.c), -1):
+            acc += self.c.get(k, 0)
+            out[k - 1] = acc
+        return LaurentPoly(out)
+
     def derivative(self) -> "LaurentPoly":
         """Formal derivative with respect to s."""
         return LaurentPoly({k - 1: k * v for k, v in self.c.items() if k})
@@ -313,6 +322,12 @@ def q_factorial(n: int) -> LaurentPoly:
     for i in range(2, n + 1):
         out = out * q_int(i)
     return out
+
+
+# Below this |q - 1| a quotient is evaluated after its common factors (s - 1)
+# are divided out: bracket denominators carry (q - q^-1)^k, so near q = 1 both
+# sums cancel and lose up to 9 digits; farther out the division costs more.
+NEAR_ONE = 0.05
 
 
 class QRationalFn:
@@ -404,7 +419,11 @@ class QRationalFn:
         return QRationalFn(self.num * other.den, self.den * other.num)
 
     def __call__(self, q: float) -> float:
-        return self.num(q) / self.den(q)
+        num, den = self.num, self.den
+        if abs(q - 1.0) < NEAR_ONE:
+            while not num.is_zero and num.at_one() == 0 and den.at_one() == 0:
+                num, den = num.over_s_minus_one(), den.over_s_minus_one()
+        return num(q) / den(q)
 
     def eval_mp(self, q):
         return self.num.eval_mp(q) / self.den.eval_mp(q)

@@ -309,3 +309,10 @@ def test_casimir_weighted_scalar(spaces):
     window = SafeSubspace(spaces["tensor"].space, 8 - max(op.climb, 0))
     spec = diagonal_spectrum(op, window)
     assert spec, "spectrum should not be empty"
+
+
+@pytest.mark.parametrize("name", [n for n in CASIMIR_NAMES if n != "S2"])
+def test_casimir_weights_only_for_s2(spaces, name):
+    # weights used to be dropped without a word for every casimir but S2
+    with pytest.raises(ValueError, match="only to the casimir S2"):
+        casimir(name, spaces[casimir_family(name)], weights=(1, 1, 1, 1))

@@ -371,3 +371,18 @@ def test_derive_catalog_coefficients_script_runs():
     proc = _run_python(str(script))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("casimir", ["J2", "C2_SUqpm"])
+def test_spectrum_weights_for_other_casimirs_exit_two(capsys, casimir):
+    rc, out, err = run_cli(capsys, "spectrum", "--casimir", casimir, "--cutoff", "6",
+                           "--weights", "1,1,1,1")
+    assert rc == 2
+    assert "only to the casimir S2" in err and "Traceback" not in err and not out
+
+
+def test_verify_near_q_one_exits_zero(capsys):
+    # the casimir values lost up to 9 digits here and failed their closed forms
+    rc, out, _ = run_cli(capsys, "verify", "--cutoff", "8", "--q", "1.001")
+    assert rc == 0
+    assert "0 unexpected" in out

@@ -7,6 +7,7 @@ the code under test.
 
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -297,3 +298,19 @@ def test_one_term_products_match_general_loop(a, m):
     assert [(k, v, type(v)) for k, v in (Q(1, 2) * a).c.items()] == _ref_mul(
         a.c, {0: Q(1, 2)}
     )
+
+
+def test_over_s_minus_one_is_exact_division():
+    p = lp({-3: 2, 1: -5, 4: 3})  # 2 s^-3 - 5 s + 3 s^4 vanishes at s = 1
+    quotient = p.over_s_minus_one()
+    assert quotient * lp({1: 1, 0: -1}) == p
+
+
+def test_rational_fn_exact_near_q_one():
+    # [1/2] and [j][j+1] cancel in numerator and denominator at q = 1
+    for f in (q_bracket(Q(1, 2)), q_bracket(3) * q_bracket(4), q_bracket(Q(5, 2), 2)):
+        assert f(1.0) == pytest.approx(float(limit_q1(f)), rel=1e-14)
+        with mpmath.workdps(50):
+            for q in (1 + 1e-9, 1 - 1e-7, 1.001, 0.97):
+                ref = f.eval_mp(mpmath.mpf(q))
+                assert abs(f(q) - ref) <= 1e-13 * abs(ref)

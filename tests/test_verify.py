@@ -10,6 +10,7 @@ import re
 from collections import Counter
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -652,3 +653,47 @@ def test_full_suite_builds_each_family_once(monkeypatch):
     monkeypatch.setattr(sp4q.algebras, "build", counting_build)
     full_suite(8)
     assert calls == Counter(FAMILIES)
+
+
+# SHA-256 of casimir_table(name, 8).text() for each casimir, and for S2 with
+# weights (2/3, -1/5, 1, 7/2), recorded before casimir() was built from its
+# formula strings: the text prints every eigenvalue's numerator and den.
+CASIMIR_TABLE_8_SHA256 = {
+    "I2": "dbcf57765d447e3b16eeb098fd3cf9d153ceda2dfd6618c1039e06dcb02e5430",
+    "C2SU0": "fb5e21f2227f4a67bc2db10fd0b07e477bca0792aad67cc1232eb35f89f5fb56",
+    "C2SUp": "64e3290a6f92aec6d048892e58eea031d3fc5a79fe326c27a0ca64a001c6819c",
+    "C2SUm": "1c813dca1821dd1f6c89f9ce07514adc3bc0182f567816a40d1b62a38ca52c03",
+    "J2": "66633e7e43f6588ad2dc3765323bb9e6fada1c4d495a32b5a62409a961dc6c8a",
+    "K02": "035aaf85187ea021c4ebe8659b4f12ff6c6ca6a56c476c1055938f0dc8af1e75",
+    "C2SUqp": "e3a630b751f70f08e8cede6cd17529f123d5570c57c87c114dec769b445c4f5f",
+    "C2SUqm": "56720c26b34778ce6216f009f679e986121298d1f38bd2f496cf2fe56024b640",
+    "L2": "a4080a1e8d0a3136f8ff200c89fdb5b32ec6f4d0a0e1b2ef69f54c48294c281c",
+    "S2": "e6162ad4cd407512ef92578dbf2bcaeb96c6f0d7ce4b62470470374ef6e3ecd6",
+}
+S2_WEIGHTS = (Q(2, 3), Q(-1, 5), 1, Q(7, 2))
+WEIGHTED_S2_TABLE_8_SHA256 = "543a55383fc6c76a8dea22658f4283396160a90cb4caf120c4fb853cc54c346e"
+
+
+@pytest.mark.parametrize("name,weights,sha256", [
+    *((n, None, h) for n, h in CASIMIR_TABLE_8_SHA256.items()),
+    ("S2", S2_WEIGHTS, WEIGHTED_S2_TABLE_8_SHA256)])
+def test_casimir_table_text_byte_identical(name, weights, sha256):
+    text = casimir_table(name, 8, weights=weights).text()
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+NEAR_ONE_QS = (1.0, 1 + 1e-9, 1 - 1e-9, 0.999, 1.0001, 1.001)
+
+
+@pytest.mark.parametrize("name,weights", [(n, None) for n in CASIMIR_NAMES]
+                         + [("S2", S2_WEIGHTS)])
+def test_casimir_spectra_hold_near_q_one(name, weights):
+    # both the table and its closed form are quotients whose sums cancel at
+    # q = 1; evaluated as they stand they lost up to 9 digits, or divided 0/0
+    rep = check_casimir_spectrum(name, 8, weights=weights, qs=NEAR_ONE_QS)
+    assert rep.verdict == "Holds", rep.witness
+    with mpmath.workdps(60):
+        for row in casimir_table(name, 8, weights=weights).rows:
+            for q in NEAR_ONE_QS[1:]:
+                ref = row.exact.eval_mp(mpmath.mpf(q))
+                assert abs(row.exact(q) - ref) <= 1e-12 * abs(ref)
