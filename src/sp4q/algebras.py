@@ -34,6 +34,9 @@ no entry depends on q), so :func:`build` hands out the set already alive
 for that pair and constructs one only when none is.  It holds no strong
 reference: a set nobody keeps is freed as before.  A set's ``ops``
 mapping is read-only; a modified set is made with ``dataclasses.replace``.
+Each operator is built by its family's recipe the first time it is read,
+so a check builds only the generators its formula names and those they
+are composed of; a numeric context converts each generator on first read.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import Callable, Mapping
 from .fock import FockSpace, FockState
 from .notation import formula_builder, relation_builder
 from .ops import NumOp, QOperator, basis_norms, classical_gram, gram, to_numeric
-from .qnum import LaurentPoly, ONE, Q, q_int, q_power
+from .qnum import NEAR_ONE, LaurentPoly, ONE, Q, q_int, q_power
 
 FAMILIES = ("classical", "qboson", "tensor")
 
@@ -62,9 +65,11 @@ class GeneratorSet:
 
     ``elements`` are the algebra generators proper (quadratic in the
     mode operators, hence parity preserving); the remaining entries are
-    building blocks such as single mode operators.  ``ops`` is stored as
-    a read-only copy of the mapping given, since :func:`build` shares
-    one set among all its callers.
+    building blocks such as single mode operators.  ``ops`` is
+    read-only, since :func:`build` shares one set among all its callers.
+    A family's builder gives a mapping that builds each operator the
+    first time it is read; any other mapping given, as by
+    ``dataclasses.replace``, is stored as a read-only copy.
     """
 
     family: str
@@ -74,13 +79,55 @@ class GeneratorSet:
     adjoint_pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", types.MappingProxyType(dict(self.ops)))
+        if not isinstance(self.ops, _LazyOps):
+            object.__setattr__(self, "ops", types.MappingProxyType(dict(self.ops)))
 
     def __getitem__(self, name: str) -> QOperator:
         return self.ops[name]
 
     def gram_fn(self):
         return classical_gram if self.family == "classical" else gram
+
+
+class _Built(dict):
+    """The operators of one set built so far; reading a missing name runs
+    its recipe, which reads the operators it composes from this dict."""
+
+    __slots__ = ("space", "recipes")
+
+    def __init__(self, space: FockSpace, recipes: dict[str, Callable]):
+        super().__init__()
+        self.space, self.recipes = space, recipes
+
+    def __missing__(self, name: str) -> QOperator:
+        op = self[name] = self.recipes[name](self.space, self)
+        return op
+
+
+class _LazyOps(Mapping):
+    """A family's operators by name, in the family's order, each built by
+    its recipe ``(space, ops) -> QOperator`` the first time it is read.
+    ``private`` recipes build operators that the named ones are composed
+    of but that are not names of the set."""
+
+    def __init__(self, space: FockSpace, recipes: dict[str, Callable],
+                 private: dict[str, Callable] | None = None):
+        self._names = recipes
+        self._built = _Built(space, {**recipes, **(private or {})})
+
+    def __getitem__(self, name: str) -> QOperator:
+        if name not in self._names:
+            raise KeyError(name)
+        return self._built[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._names
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
 
 
 def _diag(space, fn) -> QOperator:
@@ -139,45 +186,115 @@ def _spow(space, fn) -> QOperator:
     return QOperator.diagonal(space, value)
 
 
+# -- recipes: name -> (space, ops) -> QOperator, in each family's order --------
+
+
+def _diagonal(fn) -> Callable:
+    return lambda sp, g: _diag(sp, fn)
+
+
+def _product(a: str, b: str) -> Callable:
+    return lambda sp, g: g[a] @ g[b]
+
+
+_CLASSICAL = {
+    "bd1": lambda sp, g: _mode_creator(sp, 1, lambda st: ONE),
+    "b1": lambda sp, g: _mode_annihilator(sp, 1, lambda st: LaurentPoly.const(st.n1)),
+    "bdm1": lambda sp, g: _mode_creator(sp, -1, lambda st: ONE),
+    "bm1": lambda sp, g: _mode_annihilator(sp, -1, lambda st: LaurentPoly.const(st.nm1)),
+    "N1": _diagonal(lambda st: st.n1),
+    "Nm1": _diagonal(lambda st: st.nm1),
+    "N": _diagonal(lambda st: st.nu),
+    "I0": _diagonal(lambda st: st.m),
+    "A0": _diagonal(lambda st: Q(st.nu + 1, 2)),
+    "P": _diagonal(lambda st: (-1) ** st.parity),
+    "F11": _product("bd1", "bd1"),
+    "F1m1": _product("bd1", "bdm1"),
+    "Fm1m1": _product("bdm1", "bdm1"),
+    "G11": _product("b1", "b1"),
+    "G1m1": _product("b1", "bm1"),
+    "Gm1m1": _product("bm1", "bm1"),
+    "Ip": _product("bd1", "bm1"),
+    "Im": _product("bdm1", "b1"),
+    "F0": lambda sp, g: g["F1m1"],
+    "G0": lambda sp, g: g["G1m1"],
+    "Fp": lambda sp, g: g["F11"].scale(Q(1, 2)),
+    "Gp": lambda sp, g: g["G11"].scale(Q(1, 2)),
+    "Ap": _diagonal(lambda st: Q(2 * st.n1 + 1, 4)),
+    "Fm": lambda sp, g: g["Fm1m1"].scale(Q(1, 2)),
+    "Gm": lambda sp, g: g["Gm1m1"].scale(Q(1, 2)),
+    "Am": _diagonal(lambda st: Q(2 * st.nm1 + 1, 4)),
+    "Fsum": lambda sp, g: (g["F11"] + g["Fm1m1"]).scale(Q(1, 2)),
+    "Gsum": lambda sp, g: (g["G11"] + g["Gm1m1"]).scale(Q(1, 2)),
+    "C10": lambda sp, g: (g["bd1"] @ g["b1"]) - (g["bm1"] @ g["bdm1"]),
+}
+
+_QBOSON = {
+    "ad1": lambda sp, g: _mode_creator(sp, 1, lambda st: ONE),
+    "a1": lambda sp, g: _mode_annihilator(sp, 1, lambda st: q_int(st.n1)),
+    "adm1": lambda sp, g: _mode_creator(sp, -1, lambda st: ONE),
+    "am1": lambda sp, g: _mode_annihilator(sp, -1, lambda st: q_int(st.nm1)),
+    "N1": _diagonal(lambda st: st.n1),
+    "Nm1": _diagonal(lambda st: st.nm1),
+    "N": _diagonal(lambda st: st.nu),
+    "J0": _diagonal(lambda st: st.m),
+    "P": _diagonal(lambda st: (-1) ** st.parity),
+    "Fq11": _product("ad1", "ad1"),
+    "Fq1m1": _product("ad1", "adm1"),
+    "Fqm1m1": _product("adm1", "adm1"),
+    "Gq11": _product("a1", "a1"),
+    "Gq1m1": _product("a1", "am1"),
+    "Gqm1m1": _product("am1", "am1"),
+    "Jp": _product("ad1", "am1"),
+    "Jm": _product("adm1", "a1"),
+    "K0p": lambda sp, g: g["Fq1m1"],
+    "K0m": lambda sp, g: g["Gq1m1"],
+    "K00": _diagonal(lambda st: Q(st.nu + 1, 2)),
+    "Kpp": lambda sp, g: g["Fq11"].over(q_int(2)),
+    "Kpm": lambda sp, g: g["Gq11"].over(q_int(2)),
+    "Kp0": _diagonal(lambda st: Q(2 * st.n1 + 1, 4)),
+    "Kmp": lambda sp, g: g["Fqm1m1"].over(q_int(2)),
+    "Kmm": lambda sp, g: g["Gqm1m1"].over(q_int(2)),
+    "Km0": _diagonal(lambda st: Q(2 * st.nm1 + 1, 4)),
+}
+
+
+def _tensor_mode(mode: str, fn, k: int) -> Callable:
+    """q^(k/4) mode q^(fn(state)), with ``mode`` a q-boson mode operator."""
+    return lambda sp, g: (g[mode] @ _spow(sp, fn)).scale(q_power(Q(k, 4)))
+
+
+# t_k+ = q^(k/4) a_k+ q^(k N_-k / 2);  t_k = q^(-k/4) a_-k q^(-k N_k / 2).
+# The q-boson modes are private to a tensor set, and its diagonals and
+# J_+, J_- are the q-boson ones.
+_TENSOR = {
+    "td1": _tensor_mode("ad1", lambda st: Q(st.nm1, 2), 1),
+    "tdm1": _tensor_mode("adm1", lambda st: Q(-st.n1, 2), -1),
+    "t1": _tensor_mode("am1", lambda st: Q(-st.n1, 2), -1),
+    "tm1": _tensor_mode("a1", lambda st: Q(st.nm1, 2), 1),
+    **{k: _QBOSON[k] for k in ("N1", "Nm1", "N", "J0", "Jp", "Jm", "P")},
+    "qm2J0": lambda sp, g: _spow(sp, lambda st: 2 * (st.nm1 - st.n1) * Q(1, 2)),
+    "T1": _product("td1", "td1"),
+    "Tm1": _product("tdm1", "tdm1"),
+    "T0": lambda sp, g: (g["td1"] @ g["tdm1"]).scale(q_power(Q(-1, 2))).times_sqrt(q_int(2)),
+    "Tt1": _product("t1", "t1"),
+    "Ttm1": _product("tm1", "tm1"),
+    "Tt0": lambda sp, g: (g["t1"] @ g["tm1"]).scale(q_power(Q(-1, 2))).times_sqrt(q_int(2)),
+    "L1": _product("td1", "t1"),
+    "Lm1": _product("tdm1", "tm1"),
+    # L_0^1 = (1/[2]) (q [N_1] q^{N_-1} - q^-1 [N_-1] q^{-N_1})
+    "L01": lambda sp, g: _diag_poly(sp, lambda st: q_int(st.n1).shifted(4 + 4 * st.nm1)
+                                    - q_int(st.nm1).shifted(-4 - 4 * st.n1), den=q_int(2)),
+    # L_0^0 = [N_1] q^{N_-1} + [N_-1] q^{-N_1}
+    "L00": lambda sp, g: _diag_poly(
+        sp, lambda st: q_int(st.n1).shifted(4 * st.nm1) + q_int(st.nm1).shifted(-4 * st.n1)),
+    "calN1": _product("td1", "tm1"),
+    "calNm1": _product("tdm1", "t1"),
+}
+_QBOSON_MODES = {k: _QBOSON[k] for k in ("ad1", "a1", "adm1", "am1")}
+
+
 def _build_classical(space: FockSpace) -> GeneratorSet:
-    one = lambda st: ONE
-    bd1 = _mode_creator(space, 1, one)
-    bdm1 = _mode_creator(space, -1, one)
-    b1 = _mode_annihilator(space, 1, lambda st: LaurentPoly.const(st.n1))
-    bm1 = _mode_annihilator(space, -1, lambda st: LaurentPoly.const(st.nm1))
-
-    g: dict[str, QOperator] = {
-        "bd1": bd1,
-        "b1": b1,
-        "bdm1": bdm1,
-        "bm1": bm1,
-        "N1": _diag(space, lambda st: st.n1),
-        "Nm1": _diag(space, lambda st: st.nm1),
-        "N": _diag(space, lambda st: st.nu),
-        "I0": _diag(space, lambda st: st.m),
-        "A0": _diag(space, lambda st: Q(st.nu + 1, 2)),
-        "P": _diag(space, lambda st: (-1) ** st.parity),
-    }
-    g["F11"] = bd1 @ bd1
-    g["F1m1"] = bd1 @ bdm1
-    g["Fm1m1"] = bdm1 @ bdm1
-    g["G11"] = b1 @ b1
-    g["G1m1"] = b1 @ bm1
-    g["Gm1m1"] = bm1 @ bm1
-    g["Ip"] = bd1 @ bm1
-    g["Im"] = bdm1 @ b1
-    g["F0"] = g["F1m1"]
-    g["G0"] = g["G1m1"]
-    g["Fp"] = g["F11"].scale(Q(1, 2))
-    g["Gp"] = g["G11"].scale(Q(1, 2))
-    g["Ap"] = _diag(space, lambda st: Q(2 * st.n1 + 1, 4))
-    g["Fm"] = g["Fm1m1"].scale(Q(1, 2))
-    g["Gm"] = g["Gm1m1"].scale(Q(1, 2))
-    g["Am"] = _diag(space, lambda st: Q(2 * st.nm1 + 1, 4))
-    g["Fsum"] = (g["F11"] + g["Fm1m1"]).scale(Q(1, 2))
-    g["Gsum"] = (g["G11"] + g["Gm1m1"]).scale(Q(1, 2))
-    g["C10"] = (bd1 @ b1) - (bm1 @ bdm1)
-
     elements = (
         "F11", "F1m1", "Fm1m1", "G11", "G1m1", "Gm1m1",
         "Ip", "Im", "I0", "N", "N1", "Nm1", "A0",
@@ -190,46 +307,10 @@ def _build_classical(space: FockSpace) -> GeneratorSet:
         ("N1", "N1"), ("Nm1", "Nm1"), ("N", "N"), ("I0", "I0"),
         ("A0", "A0"), ("Ap", "Ap"), ("Am", "Am"), ("C10", "C10"), ("P", "P"),
     )
-    return GeneratorSet("classical", space, g, elements, pairs)
+    return GeneratorSet("classical", space, _LazyOps(space, _CLASSICAL), elements, pairs)
 
 
 def _build_qboson(space: FockSpace) -> GeneratorSet:
-    one = lambda st: ONE
-    ad1 = _mode_creator(space, 1, one)
-    adm1 = _mode_creator(space, -1, one)
-    a1 = _mode_annihilator(space, 1, lambda st: q_int(st.n1))
-    am1 = _mode_annihilator(space, -1, lambda st: q_int(st.nm1))
-    two = q_int(2)
-
-    g: dict[str, QOperator] = {
-        "ad1": ad1,
-        "a1": a1,
-        "adm1": adm1,
-        "am1": am1,
-        "N1": _diag(space, lambda st: st.n1),
-        "Nm1": _diag(space, lambda st: st.nm1),
-        "N": _diag(space, lambda st: st.nu),
-        "J0": _diag(space, lambda st: st.m),
-        "P": _diag(space, lambda st: (-1) ** st.parity),
-    }
-    g["Fq11"] = ad1 @ ad1
-    g["Fq1m1"] = ad1 @ adm1
-    g["Fqm1m1"] = adm1 @ adm1
-    g["Gq11"] = a1 @ a1
-    g["Gq1m1"] = a1 @ am1
-    g["Gqm1m1"] = am1 @ am1
-    g["Jp"] = ad1 @ am1
-    g["Jm"] = adm1 @ a1
-    g["K0p"] = g["Fq1m1"]
-    g["K0m"] = g["Gq1m1"]
-    g["K00"] = _diag(space, lambda st: Q(st.nu + 1, 2))
-    g["Kpp"] = g["Fq11"].over(two)
-    g["Kpm"] = g["Gq11"].over(two)
-    g["Kp0"] = _diag(space, lambda st: Q(2 * st.n1 + 1, 4))
-    g["Kmp"] = g["Fqm1m1"].over(two)
-    g["Kmm"] = g["Gqm1m1"].over(two)
-    g["Km0"] = _diag(space, lambda st: Q(2 * st.nm1 + 1, 4))
-
     elements = (
         "Fq11", "Fq1m1", "Fqm1m1", "Gq11", "Gq1m1", "Gqm1m1",
         "Jp", "Jm", "J0", "N", "N1", "Nm1",
@@ -242,58 +323,10 @@ def _build_qboson(space: FockSpace) -> GeneratorSet:
         ("N1", "N1"), ("Nm1", "Nm1"), ("N", "N"), ("J0", "J0"),
         ("K00", "K00"), ("Kp0", "Kp0"), ("Km0", "Km0"), ("P", "P"),
     )
-    return GeneratorSet("qboson", space, g, elements, pairs)
+    return GeneratorSet("qboson", space, _LazyOps(space, _QBOSON), elements, pairs)
 
 
 def _build_tensor(space: FockSpace) -> GeneratorSet:
-    qb = _build_qboson(space)
-    ad1, a1, adm1, am1 = qb["ad1"], qb["a1"], qb["adm1"], qb["am1"]
-    two = q_int(2)
-    quarter = Q(1, 4)
-
-    # t_k+ = q^(k/4) a_k+ q^(k N_-k / 2);  t_k = q^(-k/4) a_-k q^(-k N_k / 2)
-    td1 = (ad1 @ _spow(space, lambda st: Q(st.nm1, 2))).scale(q_power(quarter))
-    tdm1 = (adm1 @ _spow(space, lambda st: Q(-st.n1, 2))).scale(q_power(-quarter))
-    t1 = (am1 @ _spow(space, lambda st: Q(-st.n1, 2))).scale(q_power(-quarter))
-    tm1 = (a1 @ _spow(space, lambda st: Q(st.nm1, 2))).scale(q_power(quarter))
-
-    g: dict[str, QOperator] = {
-        "td1": td1,
-        "tdm1": tdm1,
-        "t1": t1,
-        "tm1": tm1,
-        "N1": qb["N1"],
-        "Nm1": qb["Nm1"],
-        "N": qb["N"],
-        "J0": qb["J0"],
-        "Jp": qb["Jp"],
-        "Jm": qb["Jm"],
-        "P": qb["P"],
-        "qm2J0": _spow(space, lambda st: 2 * (st.nm1 - st.n1) * Q(1, 2)),
-    }
-    g["T1"] = td1 @ td1
-    g["Tm1"] = tdm1 @ tdm1
-    g["T0"] = (td1 @ tdm1).scale(q_power(Q(-1, 2))).times_sqrt(two)
-    g["Tt1"] = t1 @ t1
-    g["Ttm1"] = tm1 @ tm1
-    g["Tt0"] = (t1 @ tm1).scale(q_power(Q(-1, 2))).times_sqrt(two)
-    g["L1"] = td1 @ t1
-    g["Lm1"] = tdm1 @ tm1
-    # L_0^1 = (1/[2]) (q [N_1] q^{N_-1} - q^-1 [N_-1] q^{-N_1})
-    g["L01"] = _diag_poly(
-        space,
-        lambda st: q_int(st.n1).shifted(4 + 4 * st.nm1)
-        - q_int(st.nm1).shifted(-4 - 4 * st.n1),
-        den=two,
-    )
-    # L_0^0 = [N_1] q^{N_-1} + [N_-1] q^{-N_1}
-    g["L00"] = _diag_poly(
-        space,
-        lambda st: q_int(st.n1).shifted(4 * st.nm1) + q_int(st.nm1).shifted(-4 * st.n1),
-    )
-    g["calN1"] = td1 @ tm1
-    g["calNm1"] = tdm1 @ t1
-
     elements = (
         "T1", "T0", "Tm1", "Tt1", "Tt0", "Ttm1",
         "L1", "Lm1", "L01", "L00", "calN1", "calNm1",
@@ -307,7 +340,8 @@ def _build_tensor(space: FockSpace) -> GeneratorSet:
         ("N", "N"), ("N1", "N1"), ("Nm1", "Nm1"), ("J0", "J0"),
         ("qm2J0", "qm2J0"), ("P", "P"),
     )
-    return GeneratorSet("tensor", space, g, elements, pairs)
+    ops = _LazyOps(space, _TENSOR, private=_QBOSON_MODES)
+    return GeneratorSet("tensor", space, ops, elements, pairs)
 
 
 _BUILDERS = {
@@ -477,11 +511,10 @@ class NumericContext:
         self.space = gens.space
         self.q = float(q)
         self._classical = gens.family == "classical"
-        # One set of basis norms serves every generator at this q.
-        norms = basis_norms(self.space, self.q, gens.gram_fn())
-        self._table = {
-            k: to_numeric(op, self.q, norms=norms) for k, op in gens.ops.items()
-        }
+        # One set of basis norms serves every generator at this q; each
+        # generator is converted the first time it is read.
+        self._norms = basis_norms(self.space, self.q, gens.gram_fn())
+        self._table: dict[str, NumOp] = {}
 
     # scalar helpers ----------------------------------------------------
 
@@ -494,6 +527,10 @@ class NumericContext:
                 f"the q-bracket [{x}]_{m} is 0/0 at q = 1; numeric checks"
                 f" of the {self.gens.family} family need q != 1"
             )
+        if abs(self.q - 1.0) < NEAR_ONE:
+            # both differences cancel near q = 1; sinh keeps every digit
+            mlog = m * math.log(self.q)
+            return math.sinh(float(x) * mlog) / math.sinh(mlog)
         return (qm ** float(x) - qm ** float(-x)) / (qm - 1.0 / qm)
 
     def _num_pow(self, x) -> float:
@@ -502,7 +539,10 @@ class NumericContext:
     # same interface as ExactContext ------------------------------------
 
     def __getitem__(self, name: str) -> NumOp:
-        return self._table[name]
+        op = self._table.get(name)
+        if op is None:
+            op = self._table[name] = to_numeric(self.gens[name], self.q, norms=self._norms)
+        return op
 
     def comm(self, a, b, rho=0, flip: bool = False):
         second = (b @ a).scale(self._num_pow(rho))

@@ -48,6 +48,7 @@ from .verify import (
     check_basis_construction,
     full_suite,
     pyramid_text,
+    q_text,
     reports_to_json,
     require_tol,
     spectrum_table_text,
@@ -258,11 +259,11 @@ def _cmd_eval(args, parser) -> int:
     word = " ".join(f"{n}^{k}" if k != 1 else n for n, k in factors)
     rows = [(d, v) for (d, s), v in nop.entries.items() if s == si and v != 0.0]
     if not rows:
-        print(f"{word} {st} = 0   (normalized basis, q={args.q:g})")
+        print(f"{word} {st} = 0   (normalized basis, q={q_text(args.q)})")
         return 0
     for d, v in sorted(rows):
         print(f"{word} {st} = {v!r} {gens.space.states[d]}"
-              f"   (normalized basis, q={args.q:g})")
+              f"   (normalized basis, q={q_text(args.q)})")
     return 0
 
 

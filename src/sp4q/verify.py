@@ -83,8 +83,14 @@ SPECTRUM_TABLE_KEYS = ("phi-ladder", "alpha-discrete", "phi-q", "qphi-alpha")
 PYRAMID_LABELS = ("pairs", "triple-min", "triple-max")
 
 
+def q_text(q: float) -> str:
+    """q as ``:g`` prints it when that reads back as q, else in full."""
+    short = f"{q:g}"
+    return short if float(short) == q else repr(q)
+
+
 def numeric_mode(q: float) -> str:
-    return f"NumericAt({q:g})"
+    return f"NumericAt({q_text(q)})"
 
 
 def require_tol(tol: float) -> None:
@@ -524,7 +530,8 @@ def check_casimir_spectrum(
             for qv in qs:
                 got, ref = row.exact(qv), want(qv)
                 if abs(got - ref) > tol * (1.0 + abs(ref)):
-                    return str(row.state), f"numeric {got!r} vs {ref!r} at q={qv:g}"
+                    return (str(row.state),
+                            f"numeric {got!r} vs {ref!r} at q={q_text(qv)}")
         return None
 
     wtxt = "" if weights is None else f" weights={tuple(map(str, weights))}"
@@ -1064,7 +1071,7 @@ def check_ladder_actions(
 
     for qv in qs:
         reports.append(report(time.perf_counter(), numeric_entries(qv),
-                              f"numeric entries q={qv:g}", numeric_mode(qv)))
+                              f"numeric entries q={q_text(qv)}", numeric_mode(qv)))
     return reports
 
 
@@ -1222,7 +1229,7 @@ def structural_checks(
               ("parity blocks", MODE_EXACT, parity_blocks, None),
               ("nu grading homogeneous", MODE_EXACT, nu_grading,
                "every element shifts nu by one fixed amount")]
-    checks += [(f"adjoint pairs q={qv:g}", numeric_mode(qv),
+    checks += [(f"adjoint pairs q={q_text(qv)}", numeric_mode(qv),
                 functools.partial(adjoint_pairs, qv), None) for qv in qs]
     return [
         _report(time.perf_counter(), check(), f"structure {name}", family,

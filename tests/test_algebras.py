@@ -9,6 +9,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import sp4q.algebras
 from sp4q.algebras import (
     CASIMIR_NAMES,
     FAMILIES,
@@ -27,8 +28,9 @@ from sp4q.algebras import (
     resolve_casimirs,
 )
 from sp4q.fock import FockSpace, FockState
-from sp4q.ops import SafeSubspace, diagonal_spectrum, first_witness
+from sp4q.ops import SafeSubspace, diagonal_spectrum, first_witness, to_numeric
 from sp4q.qnum import ONE, QRationalFn, q_int, q_power
+from sp4q.verify import check_relation
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,61 @@ def test_generator_set_ops_are_read_only(spaces):
         g.ops["td1"] = g.ops["tm1"]
     with pytest.raises(TypeError):
         del g.ops["td1"]
+
+
+# Each family's names in the order of the eager builders.
+NAMES = {
+    "classical": ["bd1", "b1", "bdm1", "bm1", "N1", "Nm1", "N", "I0", "A0", "P",
+                  "F11", "F1m1", "Fm1m1", "G11", "G1m1", "Gm1m1", "Ip", "Im", "F0", "G0",
+                  "Fp", "Gp", "Ap", "Fm", "Gm", "Am", "Fsum", "Gsum", "C10"],
+    "qboson": ["ad1", "a1", "adm1", "am1", "N1", "Nm1", "N", "J0", "P",
+               "Fq11", "Fq1m1", "Fqm1m1", "Gq11", "Gq1m1", "Gqm1m1", "Jp", "Jm",
+               "K0p", "K0m", "K00", "Kpp", "Kpm", "Kp0", "Kmp", "Kmm", "Km0"],
+    "tensor": ["td1", "tdm1", "t1", "tm1", "N1", "Nm1", "N", "J0", "Jp", "Jm", "P",
+               "qm2J0", "T1", "Tm1", "T0", "Tt1", "Ttm1", "Tt0", "L1", "Lm1",
+               "L01", "L00", "calN1", "calNm1"],
+}
+
+
+def _built(gens) -> set:
+    """The operators of a set constructed so far, private ones included."""
+    return set(gens.ops._built)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fresh_set_constructs_nothing_until_read(fresh_builds, family):
+    g = build(family, FockSpace(12))
+    assert fresh_builds[family] == 1
+    assert list(g.ops) == NAMES[family] and len(g.ops) == len(NAMES[family])
+    assert all(name in g.ops for name in NAMES[family]) and "nonsense" not in g.ops
+    assert _built(g) == set()
+
+
+@pytest.mark.parametrize("family,relation,named,parts", [
+    ("qboson", "J-commutator", {"Jp", "Jm"}, {"ad1", "am1", "adm1", "a1"}),
+    ("tensor", "T0-squared transition", {"T0", "T1", "Tm1"}, {"td1", "tdm1", "ad1", "adm1"}),
+])
+def test_a_check_builds_and_converts_only_what_its_anchor_names(
+        fresh_builds, monkeypatch, family, relation, named, parts):
+    g = build(family, FockSpace(12))
+    check_relation((family, relation), 12, gens=g)
+    assert _built(g) == named | parts
+    converted = []
+    monkeypatch.setattr(sp4q.algebras, "to_numeric",
+                        lambda op, *a, **kw: converted.append(op) or to_numeric(op, *a, **kw))
+    check_relation((family, relation), 12, "numeric", gens=g)
+    assert sorted(map(id, converted)) == sorted(id(g[name]) for name in named)
+    assert _built(g) == named | parts
+
+
+def test_tensor_set_builds_no_qboson_composite(fresh_builds):
+    g = build("tensor", FockSpace(8))
+    dict(g.ops)
+    assert _built(g) == set(NAMES["tensor"]) | {"ad1", "a1", "adm1", "am1"}
+    assert "ad1" not in g.ops
+    with pytest.raises(KeyError):
+        g["ad1"]
+    assert fresh_builds == {"tensor": 1}
 
 
 # -- generator spot values -------------------------------------------------------

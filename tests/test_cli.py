@@ -386,3 +386,11 @@ def test_verify_near_q_one_exits_zero(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--cutoff", "8", "--q", "1.001")
     assert rc == 0
     assert "0 unexpected" in out
+
+
+def test_verify_numeric_near_q_one_exits_zero(capsys):
+    # q-brackets evaluated as written lost 8 digits and failed uq+ commutator
+    rc, out, _ = run_cli(
+        capsys, "verify", "--family", "qboson", "--cutoff", "8", "--q", "1.000000001")
+    assert rc == 0
+    assert "NumericAt(1.000000001)" in out and "0 unexpected" in out

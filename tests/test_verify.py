@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import sp4q.algebras
 import sp4q.verify
 from sp4q.algebras import (
-    CASIMIR_NAMES, FAMILIES, _BUILDERS, build, find_relation, relation_catalog)
+    CASIMIR_NAMES, FAMILIES, _BUILDERS, build, canonical_relations, find_relation,
+    relation_catalog)
 from sp4q.fock import FockSpace, FockState
 from sp4q.qnum import QRationalFn, q_factorial, q_int, q_power
 from sp4q.verify import (
@@ -38,6 +39,7 @@ from sp4q.verify import (
     classical_degeneration,
     degeneracy_resolution,
     full_suite,
+    numeric_mode,
     pyramid_text,
     reports_to_json,
     spectrum_table_text,
@@ -631,6 +633,26 @@ def test_shared_sets_stay_as_built(fresh_builds):
         assert _contents(gens) == _contents(_BUILDERS[f](FockSpace(8)))
 
 
+# SHA-256 of repr(_contents(gens)) for each family's set at cutoffs 8 and 12,
+# recorded while every builder still composed its whole set up front: a set
+# read in full must equal it down to key order, den, flag and coefficient type.
+EAGER_CONTENTS_SHA256 = {
+    ("classical", 8): "094089910261de6de92f33656000789a6770e026cb6c6eae7923c7016e0d1485",
+    ("qboson", 8): "55718c4dee873b047d5d275ef35774870c3f0f259deff0e2feb87fa8a6b77167",
+    ("tensor", 8): "3b974b2395a3f2a6fc7b09ea0693f979b9d09803250a77ecbb8ec7776d92d930",
+    ("classical", 12): "f9c3dd244d34fb894c1b72b4b841ed41e93062dbcf019c243c9c6471c3dbd2d0",
+    ("qboson", 12): "9ed92347d80c7bd17d42ef45c9edf920510b2fe634548d3a90f88fce63c292eb",
+    ("tensor", 12): "87cf31ac05063b02cfd4fcab83563b1b00b79d056394b98677cc21318d0ca08f",
+}
+
+
+@pytest.mark.parametrize("family,cutoff", list(EAGER_CONTENTS_SHA256))
+def test_sets_read_in_full_match_the_eager_construction(fresh_builds, family, cutoff):
+    gens = build(family, FockSpace(cutoff))
+    digest = hashlib.sha256(repr(_contents(gens)).encode()).hexdigest()
+    assert digest == EAGER_CONTENTS_SHA256[family, cutoff]
+
+
 def test_exact_scale_pattern_constructs_each_family_once(fresh_builds):
     # the casimir checks build their own sets; they get the ones held here
     gens = {f: build(f, FockSpace(8)) for f in FAMILIES}
@@ -697,3 +719,28 @@ def test_casimir_spectra_hold_near_q_one(name, weights):
             for q in NEAR_ONE_QS[1:]:
                 ref = row.exact.eval_mp(mpmath.mpf(q))
                 assert abs(row.exact(q) - ref) <= 1e-12 * abs(ref)
+
+
+# -- numeric checks near q = 1 ---------------------------------------------------
+
+NEAR_ONE_NUMERIC_QS = (1 + 1e-9, 1 - 1e-9, 1.000001, 0.9999999, 1.0001, 1.04, 0.97)
+
+
+@pytest.mark.parametrize("family", ["qboson", "tensor"])
+def test_numeric_checks_near_q_one(family):
+    # the q-brackets' differences cancel near q = 1 and lost up to 8 digits,
+    # which failed canonical relations such as uq+ commutator at 1 + 1e-9
+    gens = build(family, FockSpace(8))
+    for q in NEAR_ONE_NUMERIC_QS:
+        for rel in canonical_relations(family):
+            rep = check_relation(rel, 8, "numeric", q=q, gens=gens)
+            assert rep.verdict == "Holds", (rel.name, q, rep.witness)
+            rep = check_relation(rel, 8, "numeric", q=q, gens=gens, mutate=True)
+            assert rep.verdict == "Fails", (rel.name, q)
+
+
+@pytest.mark.parametrize("q,mode", [
+    (0.7, "NumericAt(0.7)"), (1.3, "NumericAt(1.3)"), (2.0, "NumericAt(2)"),
+    (1.000000001, "NumericAt(1.000000001)")])
+def test_numeric_mode_names_the_q_checked(q, mode):
+    assert numeric_mode(q) == mode
