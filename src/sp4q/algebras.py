@@ -36,7 +36,8 @@ reference: a set nobody keeps is freed as before.  A set's ``ops``
 mapping is read-only; a modified set is made with ``dataclasses.replace``.
 Each operator is built by its family's recipe the first time it is read,
 so a check builds only the generators its formula names and those they
-are composed of; a numeric context converts each generator on first read.
+are composed of.  A numeric context converts every generator when it is
+made, so a numeric check reads the whole set.
 """
 
 from __future__ import annotations
@@ -511,10 +512,11 @@ class NumericContext:
         self.space = gens.space
         self.q = float(q)
         self._classical = gens.family == "classical"
-        # One set of basis norms serves every generator at this q; each
-        # generator is converted the first time it is read.
-        self._norms = basis_norms(self.space, self.q, gens.gram_fn())
-        self._table: dict[str, NumOp] = {}
+        # One set of basis norms serves every generator at this q.
+        norms = basis_norms(self.space, self.q, gens.gram_fn())
+        self._table = {
+            k: to_numeric(op, self.q, norms=norms) for k, op in gens.ops.items()
+        }
 
     # scalar helpers ----------------------------------------------------
 
@@ -539,10 +541,7 @@ class NumericContext:
     # same interface as ExactContext ------------------------------------
 
     def __getitem__(self, name: str) -> NumOp:
-        op = self._table.get(name)
-        if op is None:
-            op = self._table[name] = to_numeric(self.gens[name], self.q, norms=self._norms)
-        return op
+        return self._table[name]
 
     def comm(self, a, b, rho=0, flip: bool = False):
         second = (b @ a).scale(self._num_pow(rho))
