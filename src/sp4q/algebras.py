@@ -37,7 +37,9 @@ mapping is read-only; a modified set is made with ``dataclasses.replace``.
 Each operator is built by its family's recipe the first time it is read,
 so a check builds only the generators its formula names and those they
 are composed of.  A numeric context converts every generator when it is
-made, so a numeric check reads the whole set.
+made, so a numeric check reads the whole set; like a set, a context is
+shared while alive: :func:`numeric_context` hands out the one some caller
+holds for that set and q.
 """
 
 from __future__ import annotations
@@ -168,13 +170,15 @@ def _mode_annihilator(space, mode, coeff) -> QOperator:
 
 def _s_exponent(x, k: int, error: str) -> int:
     """k * x as an integer exponent of s; ``error`` when it is not one.
-    An ``int`` x stays in ``int`` arithmetic."""
+    The product is taken in ``int`` arithmetic."""
     if type(x) is int:
         return k * x
-    e = k * Q(x)
-    if e.denominator != 1:
+    if type(x) is not Q:
+        x = Q(x)
+    e, rem = divmod(k * x.numerator, x.denominator)
+    if rem:
         raise ValueError(error)
-    return int(e)
+    return e
 
 
 def _spow(space, fn) -> QOperator:
@@ -591,8 +595,22 @@ def classical_limit_context(gens: GeneratorSet) -> ClassicalContext:
     return ClassicalContext(gens, build("classical", gens.space))
 
 
+# (id of the generator set, q) -> the numeric context alive for it; weak,
+# like _LIVE.  A context holds its set, so the id names that set while the
+# entry lives.
+_LIVE_NUMERIC: "weakref.WeakValueDictionary[tuple[int, float], NumericContext]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 def numeric_context(gens: GeneratorSet, q: float) -> NumericContext:
-    return NumericContext(gens, q)
+    """The numeric context of ``gens`` at q: the one already alive for
+    this set and q if some caller still holds it, else a new one."""
+    key = (id(gens), float(q))
+    ctx = _LIVE_NUMERIC.get(key)
+    if ctx is None:
+        ctx = _LIVE_NUMERIC[key] = NumericContext(gens, q)
+    return ctx
 
 
 # -- Casimir operators -----------------------------------------------------------
@@ -1046,24 +1064,25 @@ def find_relation(family: str, name: str) -> Relation:
     raise KeyError(f"no relation named {name!r} in family {family!r}")
 
 
-_REACH_CTX: dict[str, ExactContext] = {}
+_REACH_CUTOFF = 6
 _REACH_CACHE: dict[tuple[str, str], int] = {}
 
 
 def relation_reach(rel: Relation) -> int:
     """Maximal total nu-raise of any term of the relation's residual;
-    checks on a cutoff-Lambda space are conclusive for nu <= Lambda - reach."""
+    checks on a cutoff-Lambda space are conclusive for nu <= Lambda - reach.
+    Computed once per relation, on the family's set at a small cutoff."""
     key = (rel.family, rel.name)
     if key not in _REACH_CACHE:
-        if rel.family not in _REACH_CTX:
-            _REACH_CTX[rel.family] = ExactContext(build(rel.family, FockSpace(6)))
-        res = rel.builder(_REACH_CTX[rel.family])
+        res = rel.builder(ExactContext(build(rel.family, FockSpace(_REACH_CUTOFF))))
         _REACH_CACHE[key] = max(res.climb, 0)
     return _REACH_CACHE[key]
 
 
 def catalog_manifest(family: str) -> list[dict]:
     """JSON-ready description of the family's catalog."""
+    # held to the end, so that every relation_reach call below shares it
+    held = build(family, FockSpace(_REACH_CUTOFF))  # noqa: F841
     out = []
     for rel in relation_catalog(family):
         row = {

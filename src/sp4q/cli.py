@@ -152,11 +152,14 @@ def _cmd_verify(args, parser) -> int:
     return _exit_code(reports)
 
 
-def _parse_weights(text: str):
+def _parse_weights(text: str, parser):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError("weights must be four comma-separated rationals")
-    return tuple(Q(p) for p in parts)
+    try:
+        return tuple(Q(p) for p in parts)
+    except ZeroDivisionError:
+        parser.error(f"a weight has a zero denominator: {text!r}")
 
 
 def _cmd_spectrum(args, parser) -> int:
@@ -165,7 +168,7 @@ def _cmd_spectrum(args, parser) -> int:
         sys.stdout.write(spectrum_table_text(args.table, cfg.cutoff))
         return 0
     names = resolve_casimirs(args.casimir)
-    weights = _parse_weights(args.weights) if args.weights else None
+    weights = _parse_weights(args.weights, parser) if args.weights else None
     for name in names:
         table = casimir_table(
             name, cfg.cutoff, args.sector, q=args.q, weights=weights,

@@ -9,6 +9,18 @@ matrix.  Since sqrt([2]) is irrational over the Laurent ring, sums with
 mixed flags never need to collapse, and products absorb (sqrt X)^2 = X
 exactly, so all algebra can stay exact.
 
+Integer store: the entries keep ``int`` coefficients only.  The rational
+constants of the algebras (the 1/2 of F_+, the diagonal (nu + 1)/2, ...)
+go into one positive integer divisor ``k`` per operator, so an operator
+is  sqrt(sqrt_sq) * store / (k * den).  ``den`` is the Laurent-polynomial
+denominator that reports print, as before.  A product multiplies the two
+divisors; a sum brings both sides over the least common multiple of
+theirs.  Scaling every term by one nonzero integer keeps which sums
+cancel, so the store has the coefficient order of the rational entries,
+and ``entries`` (store / k, made on first read) equals them, key order and
+int-or-Fraction types included.  Ring products and sums thus never touch
+``Fraction``.
+
 Truncation bookkeeping: each operator carries declared signed bounds
 
     nu_raise  -- max shift of the shell number nu (signed: an operator
@@ -44,7 +56,7 @@ reappears, and change those floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -74,34 +86,92 @@ class SafeSubspace:
         return state.nu <= self.max_nu
 
 
-@dataclass(frozen=True)
 class QOperator:
     """Exact sparse operator in the monomial basis.
 
-    The represented operator is  sqrt(sqrt_sq) / den * (entry matrix);
-    ``sqrt_sq is None`` means no square-root factor.  Instances are
-    treated as immutable; entries never store zero polynomials.
+    The represented operator is  sqrt(sqrt_sq) / (k * den) * (store);
+    ``store`` maps (dst, src) to a Laurent polynomial with ``int``
+    coefficients only, ``k`` is a positive ``int`` and ``sqrt_sq is None``
+    means no square-root factor.  ``entries`` is the entry matrix as a
+    reader sees it, ``store / k``, and ``den`` is the denominator printed
+    with it.  Instances are treated as immutable; the store never holds a
+    zero polynomial.
     """
 
-    space: FockSpace
-    entries: dict[tuple[int, int], LaurentPoly]
-    den: LaurentPoly = field(default_factory=lambda: ONE)
-    sqrt_sq: LaurentPoly | None = None
-    nu_raise: int = 0
-    nu_lower: int = 0
-    climb: int = 0
+    __slots__ = ("space", "store", "k", "den", "sqrt_sq", "nu_raise", "nu_lower",
+                 "climb", "_entries")
 
-    def __post_init__(self):
-        nus = self.space.nus
-        for (d, s), poly in self.entries.items():
+    def __init__(
+        self,
+        space: FockSpace,
+        entries: dict[tuple[int, int], LaurentPoly],
+        den: LaurentPoly = ONE,
+        sqrt_sq: LaurentPoly | None = None,
+        nu_raise: int = 0,
+        nu_lower: int = 0,
+        climb: int = 0,
+    ):
+        """An operator with the given entries, whose coefficients may be
+        rational: they are stored over their least common denominator."""
+        store, k = _fold(entries)
+        self._set(space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb)
+
+    @classmethod
+    def _of(cls, space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb) -> "QOperator":
+        """An operator from an integer store and its divisor, as is."""
+        op = object.__new__(cls)
+        op._set(space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb)
+        return op
+
+    def _set(self, space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb) -> None:
+        self.space, self.store, self.k, self.den = space, store, k, den
+        self.sqrt_sq, self.nu_raise, self.nu_lower, self.climb = (
+            sqrt_sq, nu_raise, nu_lower, climb)
+        self._entries = None
+        nus = space.nus
+        for (d, s), poly in store.items():
             if poly.is_zero:
                 raise ValueError("zero entry stored in QOperator")
             dn = nus[d] - nus[s]
-            if dn > self.nu_raise or -dn > self.nu_lower:
+            if dn > nu_raise or -dn > nu_lower:
                 raise ValueError(
                     f"entry {(d, s)} violates declared bounds "
-                    f"raise={self.nu_raise} lower={self.nu_lower}"
+                    f"raise={nu_raise} lower={nu_lower}"
                 )
+
+    def _like(self, store, k, den, sqrt_sq) -> "QOperator":
+        """An operator with this one's space and bounds."""
+        return QOperator._of(self.space, store, k, den, sqrt_sq,
+                             self.nu_raise, self.nu_lower, self.climb)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], LaurentPoly]:
+        """The entry matrix ``store / k``: the store itself when k is 1,
+        else its rational polynomials, made on first read."""
+        if self.k == 1:
+            return self.store
+        if self._entries is None:
+            self._entries = {key: _over(poly, self.k) for key, poly in self.store.items()}
+        return self._entries
+
+    def _rational(self, poly: LaurentPoly) -> LaurentPoly:
+        """A polynomial of the store as an entry, that is, over k."""
+        return poly if self.k == 1 else _over(poly, self.k)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QOperator:
+            return NotImplemented
+        return (self.space, self.entries, self.den, self.sqrt_sq, self.nu_raise,
+                self.nu_lower, self.climb) == (
+                other.space, other.entries, other.den, other.sqrt_sq,
+                other.nu_raise, other.nu_lower, other.climb)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"QOperator({self.space!r}, {self.entries!r}, den={self.den!r}, "
+                f"sqrt_sq={self.sqrt_sq!r}, nu_raise={self.nu_raise}, "
+                f"nu_lower={self.nu_lower}, climb={self.climb})")
 
     # -- constructors ----------------------------------------------------
 
@@ -162,7 +232,7 @@ class QOperator:
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.store
 
     def _flag_compatible(self, other: "QOperator") -> LaurentPoly | None:
         if self.is_zero:
@@ -177,18 +247,25 @@ class QOperator:
 
     def _plus(self, other: "QOperator", sign: int) -> "QOperator":
         """self + sign * other, merging other's entries into a copy of
-        self's entry dict; entries other does not touch stay shared."""
+        self's store.  Both sides are first brought over one divisor, the
+        least common multiple of theirs; a side already over it keeps its
+        polynomials, so entries other does not touch stay shared."""
         if self.space != other.space:
             raise ValueError("operators live on different spaces")
         flag = self._flag_compatible(other)
+        # each store times an integral factor, over the divisor k_mine or
+        # k_theirs, before both are brought over k
         if self.den == other.den:
-            den, mine, theirs = self.den, self.entries, other.entries
+            den, times_mine, times_theirs = self.den, ONE, ONE
+            k_mine, k_theirs = self.k, other.k
         else:
             den = self.den * other.den
-            mine = _times(self.entries, other.den)
-            theirs = _times(other.entries, self.den)
-        entries = dict(mine)
-        for key, poly in theirs.items():
+            times_mine, d_mine = _split(other.den)
+            times_theirs, d_theirs = _split(self.den)
+            k_mine, k_theirs = self.k * d_mine, other.k * d_theirs
+        k = math.lcm(k_mine, k_theirs)
+        entries = dict(_times(self.store, _scaled(times_mine, k // k_mine)))
+        for key, poly in _times(other.store, _scaled(times_theirs, k // k_theirs)).items():
             acc = entries.get(key)
             if acc is None:
                 entries[key] = poly if sign > 0 else -poly
@@ -199,102 +276,67 @@ class QOperator:
                 entries[key] = LaurentPoly._of(c)
             else:
                 del entries[key]
-        return QOperator(
+        return QOperator._of(
             self.space,
             entries,
-            den=den,
-            sqrt_sq=flag,
-            nu_raise=max(self.nu_raise, other.nu_raise),
-            nu_lower=max(self.nu_lower, other.nu_lower),
-            climb=max(self.climb, other.climb),
+            k,
+            den,
+            flag,
+            max(self.nu_raise, other.nu_raise),
+            max(self.nu_lower, other.nu_lower),
+            max(self.climb, other.climb),
         )
 
     def __add__(self, other: "QOperator") -> "QOperator":
         return self._plus(other, 1)
 
     def __neg__(self) -> "QOperator":
-        return QOperator(
-            self.space,
-            {k: -p for k, p in self.entries.items()},
-            den=self.den,
-            sqrt_sq=self.sqrt_sq,
-            nu_raise=self.nu_raise,
-            nu_lower=self.nu_lower,
-            climb=self.climb,
-        )
+        return self._like({key: -p for key, p in self.store.items()}, self.k, self.den,
+                          self.sqrt_sq)
 
     def __sub__(self, other: "QOperator") -> "QOperator":
         return self._plus(other, -1)
 
     def scale(self, factor) -> "QOperator":
         """Multiply by an exact scalar (int, Fraction or LaurentPoly).
-        A factor of 1 returns this operator itself."""
+        A factor of 1 returns this operator itself; a factor a/b
+        multiplies the store by a and the divisor by b."""
         if isinstance(factor, (int, Fraction)):
             factor = LaurentPoly.const(factor)
         if factor.is_zero:
             return QOperator.zero(self.space)
         if factor.is_one:
             return self
-        return QOperator(
-            self.space,
-            {k: p * factor for k, p in self.entries.items()},
-            den=self.den,
-            sqrt_sq=self.sqrt_sq,
-            nu_raise=self.nu_raise,
-            nu_lower=self.nu_lower,
-            climb=self.climb,
-        )
+        poly, d = _split(factor)
+        return self._like(_times(self.store, poly), self.k * d, self.den, self.sqrt_sq)
 
     def over(self, den: LaurentPoly) -> "QOperator":
         """Divide by an exact Laurent-polynomial scalar."""
-        return QOperator(
-            self.space,
-            dict(self.entries),
-            den=self.den * den,
-            sqrt_sq=self.sqrt_sq,
-            nu_raise=self.nu_raise,
-            nu_lower=self.nu_lower,
-            climb=self.climb,
-        )
+        return self._like(dict(self.store), self.k, self.den * den, self.sqrt_sq)
 
     def times_sqrt(self, base: LaurentPoly) -> "QOperator":
         """Multiply by sqrt(base), collapsing (sqrt base)^2 = base."""
         if self.sqrt_sq is None:
-            return QOperator(
-                self.space,
-                dict(self.entries),
-                den=self.den,
-                sqrt_sq=base,
-                nu_raise=self.nu_raise,
-                nu_lower=self.nu_lower,
-                climb=self.climb,
-            )
+            return self._like(dict(self.store), self.k, self.den, base)
         if self.sqrt_sq != base:
             raise ValueError("mixed sqrt bases are not supported")
-        return QOperator(
-            self.space,
-            {k: p * base for k, p in self.entries.items()},
-            den=self.den,
-            sqrt_sq=None,
-            nu_raise=self.nu_raise,
-            nu_lower=self.nu_lower,
-            climb=self.climb,
-        )
+        poly, d = _split(base)
+        return self._like(_times(self.store, poly), self.k * d, self.den, None)
 
     # -- composition --------------------------------------------------------
 
     def __matmul__(self, other: "QOperator") -> "QOperator":
-        """self after other (matrix product)."""
+        """self after other (matrix product); the divisors multiply."""
         if self.space != other.space:
             raise ValueError("operators live on different spaces")
         by_src: dict[int, list[tuple[int, LaurentPoly]]] = {}
-        for (d, s), poly in self.entries.items():
+        for (d, s), poly in self.store.items():
             by_src.setdefault(s, []).append((d, poly))
         # One owned coefficient dict per output entry, wrapped in place at
         # the end; see the module docstring for why products are merged
         # in place, in order.
         entries: dict = {}
-        for (mid, src), bpoly in other.entries.items():
+        for (mid, src), bpoly in other.store.items():
             for dst, apoly in by_src.get(mid, ()):
                 key = (dst, src)
                 prod = (apoly * bpoly).c
@@ -307,6 +349,7 @@ class QOperator:
                     del entries[key]
         for key, c in entries.items():
             entries[key] = LaurentPoly._of(c)
+        k = self.k * other.k
         flag: LaurentPoly | None
         if self.sqrt_sq is None:
             flag = other.sqrt_sq
@@ -315,17 +358,19 @@ class QOperator:
         else:
             if self.sqrt_sq != other.sqrt_sq:
                 raise ValueError("mixed sqrt bases are not supported")
-            base = self.sqrt_sq
-            entries = {k: p * base for k, p in entries.items()}
+            base, d = _split(self.sqrt_sq)
+            entries = _times(entries, base)
+            k *= d
             flag = None
-        return QOperator(
+        return QOperator._of(
             self.space,
             entries,
-            den=self.den * other.den,
-            sqrt_sq=flag,
-            nu_raise=self.nu_raise + other.nu_raise,
-            nu_lower=self.nu_lower + other.nu_lower,
-            climb=max(other.climb, other.nu_raise + self.climb),
+            k,
+            self.den * other.den,
+            flag,
+            self.nu_raise + other.nu_raise,
+            self.nu_lower + other.nu_lower,
+            max(other.climb, other.nu_raise + self.climb),
         )
 
     def power(self, n: int) -> "QOperator":
@@ -339,25 +384,71 @@ class QOperator:
     # -- inspection ----------------------------------------------------------
 
     def column(self, src: FockState) -> dict[FockState, LaurentPoly]:
-        """Raw entry column of a source state (denominator and sqrt flag
-        not included)."""
+        """Entry column of a source state (denominator and sqrt flag not
+        included)."""
         j = self.space.index(src)
         return {
-            self.space.states[d]: poly
-            for (d, s), poly in self.entries.items()
+            self.space.states[d]: self._rational(poly)
+            for (d, s), poly in self.store.items()
             if s == j
         }
 
     def entry(self, dst: FockState, src: FockState) -> LaurentPoly:
-        return self.entries.get(
-            (self.space.index(dst), self.space.index(src)), LaurentPoly.zero()
-        )
+        poly = self.store.get((self.space.index(dst), self.space.index(src)))
+        return LaurentPoly.zero() if poly is None else self._rational(poly)
+
+
+def _fold(entries: dict) -> tuple[dict, int]:
+    """(store, k) with entries = store / k and k the least common
+    denominator of every coefficient; the same dict when k is 1."""
+    k = _lcd(entries.values())
+    return (entries if k == 1 else {key: _scaled(poly, k) for key, poly in entries.items()}), k
+
+
+def _split(poly: LaurentPoly) -> tuple[LaurentPoly, int]:
+    """(p, k) with poly = p / k, p integral and k the least common
+    denominator of poly's coefficients."""
+    k = _lcd((poly,))
+    return _scaled(poly, k), k
+
+
+def _lcd(polys) -> int:
+    """The least common denominator of the polynomials' coefficients."""
+    k = 1
+    for poly in polys:
+        for v in poly.c.values():
+            if type(v) is not int:
+                k = math.lcm(k, v.denominator)
+    return k
+
+
+def _scaled(poly: LaurentPoly, m: int) -> LaurentPoly:
+    """poly times a nonzero int m that clears its denominators; poly
+    itself when m is 1."""
+    if m == 1:
+        return poly
+    return LaurentPoly._of({e: v * m if type(v) is int else v.numerator * (m // v.denominator)
+                            for e, v in poly.c.items()})
+
+
+def _over(poly: LaurentPoly, k: int) -> LaurentPoly:
+    """poly / k for an integral poly, every integral coefficient an int."""
+    c = {}
+    for e, v in poly.c.items():
+        quo, rem = divmod(v, k)
+        c[e] = Fraction(v, k) if rem else quo
+    return LaurentPoly._of(c)
 
 
 def _times(entries: dict, factor: LaurentPoly) -> dict:
-    """Every entry times factor; the same dict when factor is 1."""
+    """Every entry times an integral factor; the same dict when factor is
+    1.  A constant multiplies the coefficients in place of a ring product,
+    with the same result and key order."""
     if factor.is_one:
         return entries
+    c = factor.c
+    if len(c) == 1 and 0 in c:
+        return {key: _scaled(poly, c[0]) for key, poly in entries.items()}
     return {key: poly * factor for key, poly in entries.items()}
 
 
@@ -378,7 +469,7 @@ def first_witness(
     subspace, as (src, dst, entry)."""
     best = None
     nus = op.space.nus
-    for (d, s), poly in op.entries.items():
+    for (d, s), poly in op.store.items():
         if nus[s] > sub.max_nu:
             continue
         if best is None or (s, d) < best[:2]:
@@ -386,7 +477,7 @@ def first_witness(
     if best is None:
         return None
     s, d, poly = best
-    return op.space.states[s], op.space.states[d], poly
+    return op.space.states[s], op.space.states[d], op._rational(poly)
 
 
 def diagonal_spectrum(
@@ -400,7 +491,7 @@ def diagonal_spectrum(
         raise ValueError("diagonal_spectrum on a sqrt-flagged operator")
     values: dict[int, LaurentPoly] = {}
     nus = op.space.nus
-    for (d, s), poly in op.entries.items():
+    for (d, s), poly in op.store.items():
         if nus[s] > sub.max_nu:
             continue
         if d != s:
@@ -411,7 +502,9 @@ def diagonal_spectrum(
     out = []
     for i, st in enumerate(op.space.states):
         if st.nu <= sub.max_nu:
-            out.append((st, QRationalFn(values.get(i, LaurentPoly.zero()), op.den)))
+            poly = values.get(i)
+            value = LaurentPoly.zero() if poly is None else op._rational(poly)
+            out.append((st, QRationalFn(value, op.den)))
     return out
 
 

@@ -1203,14 +1203,14 @@ def structural_checks(
 
     def parity_blocks():
         for name in gens.elements:
-            for (d, s) in gens[name].entries:
+            for (d, s) in gens[name].store:
                 if states[d].parity != states[s].parity:
                     return f"{name}: {states[s]} -> {states[d]}", "crosses the parity blocks"
         return None
 
     def nu_grading():
         for name in gens.elements:
-            shifts = {states[d].nu - states[s].nu for (d, s) in gens[name].entries}
+            shifts = {states[d].nu - states[s].nu for (d, s) in gens[name].store}
             if len(shifts) > 1:
                 return name, f"mixed nu shifts {sorted(shifts)}"
         return None
@@ -1254,7 +1254,7 @@ def _limit_mismatch(gens: GeneratorSet, counter: dict):
         dop, cop = gens[name], counter[name]
         dflag = Q(dop.sqrt_sq.at_one()) if dop.sqrt_sq is not None else Q(1)
         cflag = Q(cop.sqrt_sq.at_one()) if cop.sqrt_sq is not None else Q(1)
-        for key in set(dop.entries) | set(cop.entries):
+        for key in set(dop.store) | set(cop.store):
             dv, cv = _entry_limit(dop, key), _entry_limit(cop, key)
             if dv * dv * dflag != cv * cv * cflag or (dv > 0) != (cv > 0):
                 d, s = key
@@ -1371,9 +1371,12 @@ def full_suite(
     casimir spectra, bases and ladders (tensor), scalar series, classical
     degeneration, and degeneracy resolution.  Sorted by (relation, mode).
     All checks share one FockSpace(cutoff) and one generator set per
-    family, built on first use."""
+    family, built on first use, and one numeric context per family and q,
+    which this call holds until it returns."""
     require_tol(tol)
     sets = _shared_sets(cutoff)
+    # held to the end, so that numeric_context hands every check these
+    contexts = [numeric_context(sets(family), q) for family in families for q in qs]  # noqa: F841
     reports: list[Report] = []
     mutated_somewhere = False
     for family in families:

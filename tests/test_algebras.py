@@ -374,3 +374,41 @@ def test_casimir_weights_only_for_s2(spaces, name):
     # weights used to be dropped without a word for every casimir but S2
     with pytest.raises(ValueError, match="only to the casimir S2"):
         casimir(name, spaces[casimir_family(name)], weights=(1, 1, 1, 1))
+
+
+# -- integer stores ------------------------------------------------------------------
+
+
+def _integral(op) -> bool:
+    return type(op.k) is int and op.k > 0 and all(
+        type(v) is int for poly in op.store.values() for v in poly.c.values())
+
+
+@pytest.mark.parametrize("cutoff", [8, 12])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generators_store_int_coefficients(family, cutoff):
+    gens = build(family, FockSpace(cutoff))
+    assert all(_integral(op) for op in gens.ops.values())
+    # the rational constants went into the divisor, not into the store
+    if family != "tensor":
+        assert max(op.k for op in gens.ops.values()) > 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_catalog_residuals_store_int_coefficients(family):
+    gens = build(family, FockSpace(8))
+    for ctx in (exact_context(gens), classical_limit_context(gens)):
+        for rel in relation_catalog(family):
+            for flip in (False, True):
+                res = rel.builder(ctx, flip)
+                assert _integral(res), (ctx.kind, rel.name, flip)
+
+
+def test_manifest_keeps_no_reach_set_alive(fresh_builds, monkeypatch):
+    monkeypatch.setattr(sp4q.algebras, "_REACH_CACHE", {})
+    for fam in FAMILIES:
+        catalog_manifest(fam)
+    gc.collect()
+    assert not [key for key in sp4q.algebras._LIVE.keys() if key[1] == 6]
+    # one set per family served every relation of its manifest
+    assert fresh_builds == {fam: 1 for fam in FAMILIES}

@@ -394,3 +394,10 @@ def test_verify_numeric_near_q_one_exits_zero(capsys):
         capsys, "verify", "--family", "qboson", "--cutoff", "8", "--q", "1.000000001")
     assert rc == 0
     assert "NumericAt(1.000000001)" in out and "0 unexpected" in out
+
+
+def test_spectrum_zero_weight_denominator_exits_two(capsys):
+    rc, out, err = run_cli(capsys, "spectrum", "--casimir", "S2", "--cutoff", "6",
+                           "--weights", "1/0,1,1,1")
+    assert rc == 2
+    assert "zero denominator" in err and "Traceback" not in err and not out

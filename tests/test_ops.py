@@ -349,3 +349,81 @@ def test_sums_share_untouched_entries():
     a, b = creator(space, 1), creator(space, -1)
     for total in (a + b, a - b):
         assert all(total.entries[key] is poly for key, poly in a.entries.items())
+
+
+# -- integer store over one divisor ------------------------------------------------
+#
+# Entries are stored with int coefficients over one positive int divisor k;
+# ``entries`` is store / k.  Every result must keep the store integral and
+# show the entries the Fraction reference gives, down to key order and
+# coefficient types.
+
+_factor = st.sampled_from([2, -3, Q(1, 2), Q(-1, 2), Q(3, 4), Q(-2, 3), Q(7, 2)])
+_base = st.sampled_from([q_int(2), LaurentPoly.const(2), LaurentPoly({0: Q(3, 2), 4: 1})])
+
+
+def _integral_store(op: QOperator) -> bool:
+    return type(op.k) is int and op.k > 0 and all(
+        type(v) is int for poly in op.store.values() for v in poly.c.values())
+
+
+def _times_ref(a: QOperator, factor) -> dict:
+    return {key: (poly * factor).c for key, poly in a.entries.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operator_pairs(), _factor, _base)
+def test_integer_store_matches_fraction_reference(pair, factor, base):
+    a, b = pair
+    assert _integral_store(a) and _integral_store(b)
+    results = [a @ b, a + b, a - b, -a]
+    assert _layout((-a).entries) == _layout({k: (-p).c for k, p in a.entries.items()})
+    scaled = a.scale(factor)
+    results.append(scaled)
+    assert _layout(scaled.entries) == _layout(_times_ref(a, factor))
+    assert scaled.den == a.den
+    over = a.over(base)
+    results.append(over)
+    assert _layout(over.entries) == _layout(a.entries) and over.den == a.den * base
+    flagged = a.times_sqrt(base)
+    results.append(flagged)
+    assert _layout(flagged.entries) == _layout(a.entries) and flagged.sqrt_sq == base
+    collapsed = flagged.times_sqrt(base)
+    results.append(collapsed)
+    assert _layout(collapsed.entries) == _layout(_times_ref(a, base))
+    assert collapsed.sqrt_sq is None
+    both = flagged @ b.times_sqrt(base)
+    results.append(both)
+    assert _layout(both.entries) == _layout(
+        {key: (LaurentPoly._of(c) * base).c for key, c in _ref_matmul(a, b).items()})
+    assert both.sqrt_sq is None and both.den == a.den * b.den
+    assert all(_integral_store(op) for op in results)
+
+
+def test_rational_entries_fold_into_one_divisor():
+    space = FockSpace(2)
+    op = QOperator(space, {(0, 0): LaurentPoly({0: Q(1, 2), 4: 3}),
+                           (1, 1): LaurentPoly.const(Q(-2, 3))})
+    assert op.k == 6 and _integral_store(op)
+    assert op.store[(0, 0)].c == {0: 3, 4: 18}
+    assert op.entries[(0, 0)].c == {0: Q(1, 2), 4: 3}
+    assert type(op.entries[(0, 0)].c[4]) is int
+    assert op.entry(space.states[1], space.states[1]) == LaurentPoly.const(Q(-2, 3))
+    ident = QOperator.identity(space)
+    assert ident.k == 1 and ident.entries is ident.store
+
+
+@pytest.mark.parametrize("q", [0.7, 1.3, 2.0])
+def test_to_numeric_is_bitwise_the_rational_evaluation(q):
+    space = FockSpace(6)
+    base = creator(space, 1) @ annihilator(space, 1)
+    half = base.scale(Q(1, 2))
+    quarter = half.scale(Q(3, 2)).over(q_int(2)).times_sqrt(q_int(2))
+    norms = basis_norms(space, q)
+    for op, factor in ((half, Q(1, 2)), (quarter, Q(3, 4))):
+        assert op.k > 1
+        flag = math.sqrt(op.sqrt_sq(q)) if op.sqrt_sq is not None else 1.0
+        # the Fraction polynomials the entries stand for, evaluated as floats
+        want = {(d, s): (poly * factor)(q) / op.den(q) * flag * norms[d] / norms[s]
+                for (d, s), poly in base.entries.items()}
+        assert to_numeric(op, q).entries == want

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -744,3 +745,27 @@ def test_numeric_checks_near_q_one(family):
     (1.000000001, "NumericAt(1.000000001)")])
 def test_numeric_mode_names_the_q_checked(q, mode):
     assert numeric_mode(q) == mode
+
+
+def test_full_suite_converts_each_family_and_q_once(fresh_builds, monkeypatch):
+    made, converted = Counter(), Counter()
+
+    class Counting(sp4q.algebras.NumericContext):
+        def __init__(self, gens, q):
+            made[(gens.family, q)] += 1
+            super().__init__(gens, q)
+
+    def to_numeric(op, q, **kwargs):
+        converted[q] += 1
+        return real_to_numeric(op, q, **kwargs)
+
+    real_to_numeric = sp4q.algebras.to_numeric
+    monkeypatch.setattr(sp4q.algebras, "NumericContext", Counting)
+    monkeypatch.setattr(sp4q.algebras, "to_numeric", to_numeric)
+    monkeypatch.setattr(sp4q.algebras, "_LIVE_NUMERIC", weakref.WeakValueDictionary())
+    full_suite(8)
+    qs = sp4q.verify.DEFAULT_QS
+    assert made == {(f, q): 1 for f in FAMILIES for q in qs}
+    space = FockSpace(8)
+    per_q = sum(len(build(f, space).ops) for f in FAMILIES)
+    assert converted == {q: per_q for q in qs}
