@@ -108,10 +108,11 @@ class _Built(dict):
 
 
 class _LazyOps(Mapping):
-    """A family's operators by name, in the family's order, each built by
-    its recipe ``(space, ops) -> QOperator`` the first time it is read.
-    ``private`` recipes build operators that the named ones are composed
-    of but that are not names of the set."""
+    """Operators by name, in the order of ``recipes``, each built by its
+    recipe ``(space, ops) -> QOperator`` the first time it is read: a
+    family's generators, or their classical counterparts.  ``private``
+    recipes build operators that the named ones are composed of but that
+    are not names of the set."""
 
     def __init__(self, space: FockSpace, recipes: dict[str, Callable],
                  private: dict[str, Callable] | None = None):
@@ -380,36 +381,51 @@ def build(family: str, space: FockSpace) -> GeneratorSet:
     return gens
 
 
-def classical_counterparts(gens: GeneratorSet, classical: GeneratorSet) -> dict[str, QOperator]:
+# deformed name -> the classical operator it degenerates onto at q = 1,
+# as a recipe over the classical set
+_COUNTERPARTS = {
+    "qboson": {
+        "ad1": "bd1", "a1": "b1", "adm1": "bdm1", "am1": "bm1",
+        "N1": "N1", "Nm1": "Nm1", "N": "N", "J0": "I0", "P": "P",
+        "Fq11": "F11", "Fq1m1": "F1m1", "Fqm1m1": "Fm1m1",
+        "Gq11": "G11", "Gq1m1": "G1m1", "Gqm1m1": "Gm1m1",
+        "Jp": "Ip", "Jm": "Im",
+        "K0p": "F0", "K0m": "G0", "K00": "A0",
+        "Kpp": "Fp", "Kpm": "Gp", "Kp0": "Ap",
+        "Kmp": "Fm", "Kmm": "Gm", "Km0": "Am",
+    },
+    "tensor": {
+        "td1": "bd1", "tdm1": "bdm1", "t1": "bm1", "tm1": "b1",
+        "N1": "N1", "Nm1": "Nm1", "N": "N", "J0": "I0", "P": "P",
+        "Jp": "Ip", "Jm": "Im",
+        "qm2J0": lambda c: QOperator.identity(c.space),
+        "T1": "F11", "Tm1": "Fm1m1",
+        "T0": lambda c: c["F1m1"].times_sqrt(LaurentPoly.const(2)),
+        "Tt1": "Gm1m1", "Ttm1": "G11",
+        "Tt0": lambda c: c["G1m1"].times_sqrt(LaurentPoly.const(2)),
+        "L1": "Ip", "Lm1": "Im", "L01": "I0", "L00": "N",
+        "calN1": "N1", "calNm1": "Nm1",
+    },
+}
+
+
+def _counterpart_recipe(classical: GeneratorSet, recipe) -> Callable:
+    """A _LazyOps recipe that resolves a _COUNTERPARTS entry in ``classical``."""
+    if isinstance(recipe, str):
+        return lambda space, ops: classical[recipe]
+    return lambda space, ops: recipe(classical)
+
+
+def classical_counterparts(gens: GeneratorSet, classical: GeneratorSet) -> Mapping[str, QOperator]:
     """The q -> 1 counterpart of each deformed generator, expressed in the
-    classical generator set on the same space."""
+    classical generator set on the same space: a read-only mapping that
+    resolves a name the first time it is read."""
     if classical.family != "classical" or classical.space != gens.space:
         raise ValueError("counterparts need the classical family on the same space")
-    c = classical.ops
-    two = LaurentPoly.const(2)
     if gens.family == "classical":
-        return dict(c)
-    if gens.family == "qboson":
-        return {
-            "ad1": c["bd1"], "a1": c["b1"], "adm1": c["bdm1"], "am1": c["bm1"],
-            "N1": c["N1"], "Nm1": c["Nm1"], "N": c["N"], "J0": c["I0"], "P": c["P"],
-            "Fq11": c["F11"], "Fq1m1": c["F1m1"], "Fqm1m1": c["Fm1m1"],
-            "Gq11": c["G11"], "Gq1m1": c["G1m1"], "Gqm1m1": c["Gm1m1"],
-            "Jp": c["Ip"], "Jm": c["Im"],
-            "K0p": c["F0"], "K0m": c["G0"], "K00": c["A0"],
-            "Kpp": c["Fp"], "Kpm": c["Gp"], "Kp0": c["Ap"],
-            "Kmp": c["Fm"], "Kmm": c["Gm"], "Km0": c["Am"],
-        }
-    ident = QOperator.identity(gens.space)
-    return {
-        "td1": c["bd1"], "tdm1": c["bdm1"], "t1": c["bm1"], "tm1": c["b1"],
-        "N1": c["N1"], "Nm1": c["Nm1"], "N": c["N"], "J0": c["I0"], "P": c["P"],
-        "Jp": c["Ip"], "Jm": c["Im"], "qm2J0": ident,
-        "T1": c["F11"], "Tm1": c["Fm1m1"], "T0": c["F1m1"].times_sqrt(two),
-        "Tt1": c["Gm1m1"], "Ttm1": c["G11"], "Tt0": c["G1m1"].times_sqrt(two),
-        "L1": c["Ip"], "Lm1": c["Im"], "L01": c["I0"], "L00": c["N"],
-        "calN1": c["N1"], "calNm1": c["Nm1"],
-    }
+        return classical.ops
+    return _LazyOps(gens.space, {name: _counterpart_recipe(classical, recipe)
+                                 for name, recipe in _COUNTERPARTS[gens.family].items()})
 
 
 # -- scalar contexts -----------------------------------------------------------

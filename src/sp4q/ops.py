@@ -562,6 +562,21 @@ class NumOp:
         entries = dict(self.entries)
         for k, v in other.entries.items():
             entries[k] = entries.get(k, 0.0) + v
+        return self._sum_with(other, entries)
+
+    def __neg__(self) -> "NumOp":
+        return self.scale(-1.0)
+
+    def __sub__(self, other: "NumOp") -> "NumOp":
+        # IEEE 754 defines x - y as x + (-y), signed zeros included, so
+        # one merging pass gives the floats and key order of self + (-other).
+        entries = dict(self.entries)
+        for k, v in other.entries.items():
+            entries[k] = entries.get(k, 0.0) - v
+        return self._sum_with(other, entries)
+
+    def _sum_with(self, other: "NumOp", entries) -> "NumOp":
+        """The sum or difference of self and other with these entries."""
         return NumOp(
             self.space,
             self.q,
@@ -570,12 +585,6 @@ class NumOp:
             nu_lower=max(self.nu_lower, other.nu_lower),
             climb=max(self.climb, other.climb),
         )
-
-    def __neg__(self) -> "NumOp":
-        return self.scale(-1.0)
-
-    def __sub__(self, other: "NumOp") -> "NumOp":
-        return self + (-other)
 
     def scale(self, factor: float) -> "NumOp":
         return NumOp(

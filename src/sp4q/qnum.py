@@ -243,7 +243,7 @@ class LaurentPoly:
 
     def at_one(self) -> Q:
         """Exact value at q = 1 (sum of coefficients)."""
-        return sum(self.c.values(), Q(0))
+        return Q(sum(self.c.values()))
 
     def over_s_minus_one(self) -> "LaurentPoly":
         """The exact quotient by (s - 1), by synthetic division from the
@@ -502,6 +502,12 @@ def taylor_coefficients(p, order: int) -> list[Q]:
             acc = num[j] - sum(den[j - i] * out[i] for i in range(j))
             out.append(acc / den[0])
         return out
+    if all(type(v) is int for v in p.c.values()):
+        # sum_k c_k k^j / (4^j j!), normalised once by Q
+        return [
+            Q(sum(v * k**j for k, v in p.c.items()), 4**j * math.factorial(j))
+            for j in range(order + 1)
+        ]
     return [
         sum((v * Q(k, 4) ** j for k, v in p.c.items()), Q(0)) / math.factorial(j)
         for j in range(order + 1)

@@ -329,6 +329,18 @@ def test_counterpart_spot_values(spaces):
     ) is None
 
 
+def test_classical_replay_builds_only_what_the_relation_reads(fresh_builds):
+    ctx = classical_limit_context(build("qboson", FockSpace(12)))
+    classical = ctx.gens
+    assert _built(classical) == set()
+    res = find_relation("qboson", "J-commutator").builder(ctx)
+    assert first_witness(res, SafeSubspace(ctx.space, 12)) is None
+    # [J_+, J_-] = [2 J_0] reads J_+ and J_-: the classical I_+ and I_-,
+    # composed of the four mode operators
+    assert _built(classical) == {"Ip", "Im", "bd1", "b1", "bdm1", "bm1"}
+    assert fresh_builds == {"qboson": 1, "classical": 1}
+
+
 # -- casimirs --------------------------------------------------------------------
 
 

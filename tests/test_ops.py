@@ -427,3 +427,25 @@ def test_to_numeric_is_bitwise_the_rational_evaluation(q):
         want = {(d, s): (poly * factor)(q) / op.den(q) * flag * norms[d] / norms[s]
                 for (d, s), poly in base.entries.items()}
         assert to_numeric(op, q).entries == want
+
+
+# Few keys, so that the two operands share entries; values include both
+# zeros, so that signed-zero results show.  NaN is left out: IEEE 754
+# leaves the sign of a NaN result unspecified.
+_float = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_num_entries = st.dictionaries(st.tuples(_index, _index), _float, max_size=8)
+
+
+def _bits(op: NumOp) -> list:
+    return [(key, v, math.copysign(1.0, v)) for key, v in op.entries.items()]
+
+
+@given(_num_entries, _num_entries)
+def test_numop_sub_is_bitwise_add_of_negation(x, y):
+    a, b = NumOp(_SPACE, 0.7, x, nu_raise=1), NumOp(_SPACE, 0.7, y, climb=2)
+    for u, v in ((a, b), (b, a), (a, a)):
+        got, want = u - v, u + (-v)
+        assert _bits(got) == _bits(want)
+        assert (got.nu_raise, got.nu_lower, got.climb) == (
+            want.nu_raise, want.nu_lower, want.climb)

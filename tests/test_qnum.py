@@ -5,6 +5,7 @@ Expected polynomials are frozen from independent hand expansions
 the code under test.
 """
 
+import math
 from fractions import Fraction as Q
 
 import mpmath
@@ -314,3 +315,30 @@ def test_rational_fn_exact_near_q_one():
             for q in (1 + 1e-9, 1 - 1e-7, 1.001, 0.97):
                 ref = f.eval_mp(mpmath.mpf(q))
                 assert abs(f(q) - ref) <= 1e-13 * abs(ref)
+
+
+int_polys = st.dictionaries(
+    st.integers(min_value=-40, max_value=40), st.integers(min_value=-50, max_value=50),
+    max_size=6,
+).map(LaurentPoly)
+
+
+def _ref_taylor(p, order):
+    """Taylor coefficients by per-term Fraction arithmetic."""
+    return [
+        sum((v * Q(k, 4) ** j for k, v in p.c.items()), Q(0)) / math.factorial(j)
+        for j in range(order + 1)
+    ]
+
+
+@given(int_polys, st.integers(min_value=0, max_value=8))
+def test_integer_taylor_path_matches_fraction_arithmetic(p, order):
+    got = taylor_coefficients(p, order)
+    assert got == _ref_taylor(p, order)
+    assert all(type(v) is Q for v in got)
+
+
+@given(st.one_of(int_polys, polys))
+def test_at_one_is_the_fraction_sum_of_coefficients(p):
+    got = p.at_one()
+    assert type(got) is Q and got == sum(p.c.values(), Q(0))

@@ -88,6 +88,78 @@ def test_check_relation_mutation_fails_with_witness(gens):
     assert r.residual
 
 
+# -- the numeric flip partner ----------------------------------------------------
+
+
+def _counted(rel):
+    """``rel`` with a builder that records the flip of every call."""
+    flips = []
+
+    def builder(ctx, flip=False):
+        flips.append(flip)
+        return rel.builder(ctx, flip)
+
+    return dataclasses.replace(rel, builder=builder), flips
+
+
+def test_numeric_check_builds_the_partner_only_past_tol():
+    gens = build("qboson", FockSpace(8))
+    rel, flips = _counted(find_relation("qboson", "J-commutator"))
+    assert check_relation(rel, 8, "numeric", q=0.7, gens=gens).holds
+    assert flips == [False]
+    flips.clear()
+    r = check_relation(rel, 8, "numeric", q=0.7, gens=gens, mutate=True)
+    assert flips == [True, False]
+    # the witness and bound text of a check that always built the partner
+    assert (r.verdict, r.witness, r.residual) == (
+        "Fails", "|8,0> -> |8,0>", "4.746001e+01 > tol 1.000000e-10")
+
+
+def test_numeric_variant_fails_by_the_partner_bound():
+    rel, flips = _counted(find_relation("tensor", "sut2-casimir closed (variant)"))
+    r = check_relation(rel, 8, "numeric", q=1.3)
+    assert flips == [False, True]
+    assert (r.verdict, r.witness, r.residual) == (
+        "Fails", "|8,0> -> |8,0>", "2.776056e+02 > tol 1.893702e-08")
+
+
+@pytest.mark.parametrize("cutoff", (8, 12))
+def test_no_numeric_holds_rests_on_the_partner_bound(cutoff):
+    # A check that builds its relation once has worst <= tol, so its
+    # Holds does not read the flip partner's bound.  Every canonical
+    # relation is such a check; every variant builds its partner and Fails.
+    space = FockSpace(cutoff)
+    for family in FAMILIES:
+        gens = build(family, space)
+        ctxs = [sp4q.algebras.numeric_context(gens, q) for q in (0.7, 1.3)]
+        for rel in relation_catalog(family):
+            counted, flips = _counted(rel)
+            for ctx in ctxs:
+                flips.clear()
+                r = check_relation(counted, cutoff, "numeric", q=ctx.q, gens=gens)
+                if rel.expect_holds:
+                    assert (r.verdict, flips) == ("Holds", [False]), (rel.name, ctx.q)
+                else:
+                    assert (r.verdict, flips) == ("Fails", [False, True]), (rel.name, ctx.q)
+
+
+def test_full_suite_numeric_relation_builds(monkeypatch):
+    # 472 numeric relation checks at cutoff 8, of which the 44 variant
+    # checks (22 variants at two qs) also build their flip partner
+    flips = []
+    real = sp4q.verify._check_numeric
+
+    def counting(rel, *args, **kwargs):
+        counted, mine = _counted(rel)
+        report = real(counted, *args, **kwargs)
+        flips.extend(mine)
+        return report
+
+    monkeypatch.setattr(sp4q.verify, "_check_numeric", counting)
+    full_suite(8)
+    assert (len(flips), flips.count(True)) == (516, 44)
+
+
 def test_check_relation_insufficient_cutoff():
     with pytest.raises(ValueError, match="needs cutoff >="):
         check_relation(("tensor", "q-nilpotent T +1,0"), cutoff=4)
@@ -151,7 +223,7 @@ def test_check_relation_exact_holds_at_cutoff_20():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: the numeric bound tol*(1 + 0.5*max|flip partner|)"
+    reason="ROADMAP item 1: the numeric bound tol*(1 + 0.5*max|flip partner|)"
     " does not grow with the cancelling [k]_2 terms, so rounding error"
     " exceeds it at cutoff 20 (a false Fails at |18,0>)",
 )
