@@ -108,11 +108,10 @@ class _Built(dict):
 
 
 class _LazyOps(Mapping):
-    """Operators by name, in the order of ``recipes``, each built by its
-    recipe ``(space, ops) -> QOperator`` the first time it is read: a
-    family's generators, or their classical counterparts.  ``private``
-    recipes build operators that the named ones are composed of but that
-    are not names of the set."""
+    """A family's operators by name, in the family's order, each built by
+    its recipe ``(space, ops) -> QOperator`` the first time it is read.
+    ``private`` recipes build operators that the named ones are composed
+    of but that are not names of the set."""
 
     def __init__(self, space: FockSpace, recipes: dict[str, Callable],
                  private: dict[str, Callable] | None = None):
@@ -381,8 +380,8 @@ def build(family: str, space: FockSpace) -> GeneratorSet:
     return gens
 
 
-# deformed name -> the classical operator it degenerates onto at q = 1,
-# as a recipe over the classical set
+# deformed name -> the name of the classical operator it degenerates onto
+# at q = 1, or a function of the classical set that composes it
 _COUNTERPARTS = {
     "qboson": {
         "ad1": "bd1", "a1": "b1", "adm1": "bdm1", "am1": "bm1",
@@ -409,11 +408,27 @@ _COUNTERPARTS = {
 }
 
 
-def _counterpart_recipe(classical: GeneratorSet, recipe) -> Callable:
-    """A _LazyOps recipe that resolves a _COUNTERPARTS entry in ``classical``."""
-    if isinstance(recipe, str):
-        return lambda space, ops: classical[recipe]
-    return lambda space, ops: recipe(classical)
+class _Counterparts(Mapping):
+    """A read-only view of a _COUNTERPARTS table: a name is looked up in
+    the classical set when it is read, and a composed counterpart is
+    built on its first read and kept."""
+
+    def __init__(self, table: dict, classical: GeneratorSet):
+        self._table, self._classical, self._composed = table, classical, {}
+
+    def __getitem__(self, name: str) -> QOperator:
+        entry = self._table[name]
+        if isinstance(entry, str):
+            return self._classical[entry]
+        if name not in self._composed:
+            self._composed[name] = entry(self._classical)
+        return self._composed[name]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
 
 
 def classical_counterparts(gens: GeneratorSet, classical: GeneratorSet) -> Mapping[str, QOperator]:
@@ -424,8 +439,7 @@ def classical_counterparts(gens: GeneratorSet, classical: GeneratorSet) -> Mappi
         raise ValueError("counterparts need the classical family on the same space")
     if gens.family == "classical":
         return classical.ops
-    return _LazyOps(gens.space, {name: _counterpart_recipe(classical, recipe)
-                                 for name, recipe in _COUNTERPARTS[gens.family].items()})
+    return _Counterparts(_COUNTERPARTS[gens.family], classical)
 
 
 # -- scalar contexts -----------------------------------------------------------

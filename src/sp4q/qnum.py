@@ -502,13 +502,8 @@ def taylor_coefficients(p, order: int) -> list[Q]:
             acc = num[j] - sum(den[j - i] * out[i] for i in range(j))
             out.append(acc / den[0])
         return out
-    if all(type(v) is int for v in p.c.values()):
-        # sum_k c_k k^j / (4^j j!), normalised once by Q
-        return [
-            Q(sum(v * k**j for k, v in p.c.items()), 4**j * math.factorial(j))
-            for j in range(order + 1)
-        ]
+    # sum_k c_k k^j / (4^j j!), normalised once by Q
     return [
-        sum((v * Q(k, 4) ** j for k, v in p.c.items()), Q(0)) / math.factorial(j)
+        Q(sum(v * k**j for k, v in p.c.items()), 4**j * math.factorial(j))
         for j in range(order + 1)
     ]

@@ -331,8 +331,8 @@ def _ref_taylor(p, order):
     ]
 
 
-@given(int_polys, st.integers(min_value=0, max_value=8))
-def test_integer_taylor_path_matches_fraction_arithmetic(p, order):
+@given(st.one_of(int_polys, polys), st.integers(min_value=0, max_value=8))
+def test_taylor_coefficients_match_fraction_arithmetic(p, order):
     got = taylor_coefficients(p, order)
     assert got == _ref_taylor(p, order)
     assert all(type(v) is Q for v in got)
