@@ -24,7 +24,7 @@ from fractions import Fraction as Q
 
 from sp4q.algebras import build, exact_context
 from sp4q.fock import FockSpace
-from sp4q.ops import QOperator, SafeSubspace, is_zero_on
+from sp4q.ops import QOperator, SafeSubspace, act, is_zero_on
 from sp4q.qnum import LaurentPoly, QRationalFn, q_int, q_power
 
 CUTOFF = 10
@@ -245,7 +245,7 @@ def main():
 
     print("== vacuum powers: (T_0)^n0 (T_-1)^nm1 |0> : q-exponent of the prefactor ==")
     for n0, nm1 in ((1, 1), (2, 1), (1, 2), (2, 2), (0, 1), (0, 2)):
-        op = T[0].power(n0) @ T[-1].power(nm1)
+        op = act([(T[0], n0), (T[-1], nm1)], QOperator.ket(space, space.states[0]))
         col = op.column(space.states[0])
         (dst, poly), = col.items()
         # strip the known factorial/bracket content to isolate the q-power

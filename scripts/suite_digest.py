@@ -5,6 +5,8 @@ The digest is that of the tests: the reports as JSON, sorted keys,
 indent 2, with ``wall_ms`` stripped.  The tests pin it at cutoffs 8 and
 12; this script covers the larger cutoffs, which take too long for the
 test suite (20-30 s for the three pinned ones on 2 shared vCPUs).
+Each line reads  cutoff<TAB>digest<TAB>seconds,  the last field being the
+wall time of that cutoff's full_suite run.
 
     python scripts/suite_digest.py 16 20      # print the digests
     python scripts/suite_digest.py --check    # compare with the pins; exit 1 on a mismatch
@@ -15,6 +17,7 @@ import hashlib
 import json
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -47,12 +50,13 @@ def main(argv=None) -> int:
         parser.error("give cutoffs or --check, not both or neither")
     bad = 0
     for cutoff in sorted(PINS) if args.check else args.cutoffs:
+        t0 = time.perf_counter()
         got = digest(cutoff)
+        line = f"{cutoff}\t{got}\t{time.perf_counter() - t0:.2f}"
         if args.check and got != PINS[cutoff]:
-            print(f"{cutoff}\t{got}\tMISMATCH, pinned {PINS[cutoff]}")
+            line += f"\tMISMATCH, pinned {PINS[cutoff]}"
             bad += 1
-        else:
-            print(f"{cutoff}\t{got}")
+        print(line, flush=True)
     return 1 if bad else 0
 
 

@@ -33,6 +33,7 @@ from .algebras import (
     resolve_casimirs,
 )
 from .fock import FockSpace, FockState
+from .ops import NumOp, QOperator, act
 from .qnum import Q, require_q
 from .verify import (
     BASIS_CHECKS,
@@ -46,6 +47,7 @@ from .verify import (
     casimir_table,
     check_all_bases,
     check_basis_construction,
+    coefficient_text,
     full_suite,
     pyramid_text,
     q_text,
@@ -224,43 +226,31 @@ def _parse_state(text: str, space, parser) -> FockState:
     return st
 
 
-def _cmd_expand(args, parser) -> int:
-    cfg = _config(args)
-    gens = build(args.family, FockSpace(cfg.cutoff))
+def _word_on_state(args, parser):
+    """(generator set, word factors, word text, state) of expand and eval."""
+    gens = build(args.family, FockSpace(_config(args).cutoff))
     factors = _parse_word(args.op, gens, parser)
     st = _parse_state(args.state, gens.space, parser)
-    op = None
-    for name, k in factors:
-        part = gens[name].power(k)
-        op = part if op is None else op @ part
-    col = {d: p for d, p in op.column(st).items() if not p.is_zero}
-    word = " ".join(f"{n}^{k}" if k != 1 else n for n, k in factors)
+    return gens, factors, " ".join(f"{n}^{k}" if k != 1 else n for n, k in factors), st
+
+
+def _cmd_expand(args, parser) -> int:
+    gens, factors, word, st = _word_on_state(args, parser)
+    op = act([(gens[name], k) for name, k in factors], QOperator.ket(gens.space, st))
+    col = op.column(st)
     if not col:
         print(f"{word} {st} = 0")
         return 0
     for dst in sorted(col, key=gens.space.index):
-        coeff = str(col[dst])
-        if not op.den.is_one:
-            coeff = f"({coeff}) / ({op.den})"
-        if op.sqrt_sq is not None:
-            coeff = f"({coeff}) * sqrt({op.sqrt_sq})"
-        print(f"{word} {st} = ({coeff}) {dst}")
+        print(f"{word} {st} = ({coefficient_text(op, col[dst])}) {dst}")
     return 0
 
 
 def _cmd_eval(args, parser) -> int:
-    cfg = _config(args)
-    gens = build(args.family, FockSpace(cfg.cutoff))
-    factors = _parse_word(args.op, gens, parser)
-    st = _parse_state(args.state, gens.space, parser)
+    gens, factors, word, st = _word_on_state(args, parser)
     nctx = numeric_context(gens, args.q)
-    nop = None
-    for name, k in factors:
-        part = nctx[name].power(k)
-        nop = part if nop is None else nop @ part
-    si = gens.space.index(st)
-    word = " ".join(f"{n}^{k}" if k != 1 else n for n, k in factors)
-    rows = [(d, v) for (d, s), v in nop.entries.items() if s == si and v != 0.0]
+    nop = act([(nctx[name], k) for name, k in factors], NumOp.ket(gens.space, args.q, st))
+    rows = [(d, v) for (d, _), v in nop.entries.items() if v != 0.0]
     if not rows:
         print(f"{word} {st} = 0   (normalized basis, q={q_text(args.q)})")
         return 0

@@ -39,6 +39,10 @@ An identity that involves intermediate climbs of height c is trustworthy
 on the safe subspace nu <= cutoff - c; entries sourced above that may be
 corrupted by the cutoff.
 
+Columns: the bases, ladders, ``expand`` and ``eval`` read one column
+A^a B^b |st> each.  :func:`act` multiplies the factors, rightmost first,
+onto the one-entry ``ket(st)`` = |st><st|; no operator power is built.
+
 Accumulation: a product (``@``) keeps one owned coefficient dict per
 output entry.  The first product for an entry is copied into it; each
 later product is merged in place, term by term in its own order, by
@@ -182,6 +186,12 @@ class QOperator:
     @classmethod
     def identity(cls, space: FockSpace) -> "QOperator":
         return cls(space, {(i, i): ONE for i in range(space.dimension)})
+
+    @classmethod
+    def ket(cls, space: FockSpace, state: FockState) -> "QOperator":
+        """|state><state|: ``op @ ket`` is op's column of state, den and flag."""
+        i = space.index(state)
+        return cls(space, {(i, i): ONE})
 
     @classmethod
     def from_rule(
@@ -373,14 +383,6 @@ class QOperator:
             max(other.climb, other.nu_raise + self.climb),
         )
 
-    def power(self, n: int) -> "QOperator":
-        if n < 0:
-            raise ValueError("operator powers need n >= 0")
-        out = QOperator.identity(self.space)
-        for _ in range(n):
-            out = self @ out
-        return out
-
     # -- inspection ----------------------------------------------------------
 
     def column(self, src: FockState) -> dict[FockState, LaurentPoly]:
@@ -450,6 +452,15 @@ def _times(entries: dict, factor: LaurentPoly) -> dict:
     if len(c) == 1 and 0 in c:
         return {key: _scaled(poly, c[0]) for key, poly in entries.items()}
     return {key: poly * factor for key, poly in entries.items()}
+
+
+def act(word, ket):
+    """A^a B^b ket for the word ``[(A, a), (B, b)]``, rightmost factor
+    first; for QOperator and NumOp alike."""
+    for op, k in reversed(word):
+        for _ in range(k):
+            ket = op @ ket
+    return ket
 
 
 def q_commutator(a: QOperator, b: QOperator, rho: Fraction | int = 0) -> QOperator:
@@ -551,12 +562,14 @@ class NumOp:
     climb: int = 0
 
     @classmethod
-    def zero(cls, space: FockSpace, q: float) -> "NumOp":
-        return cls(space, q, {})
-
-    @classmethod
     def identity(cls, space: FockSpace, q: float) -> "NumOp":
         return cls(space, q, {(i, i): 1.0 for i in range(space.dimension)})
+
+    @classmethod
+    def ket(cls, space: FockSpace, q: float, state: FockState) -> "NumOp":
+        """The one-entry operator |state><state| (see QOperator.ket)."""
+        i = space.index(state)
+        return cls(space, q, {(i, i): 1.0})
 
     def __add__(self, other: "NumOp") -> "NumOp":
         entries = dict(self.entries)
@@ -613,12 +626,6 @@ class NumOp:
             nu_lower=self.nu_lower + other.nu_lower,
             climb=max(other.climb, other.nu_raise + self.climb),
         )
-
-    def power(self, n: int) -> "NumOp":
-        out = NumOp.identity(self.space, self.q)
-        for _ in range(n):
-            out = self @ out
-        return out
 
     def transpose(self) -> "NumOp":
         return NumOp(

@@ -50,7 +50,10 @@ from .fock import (
     triple_from_pair,
 )
 from .ops import (
+    NumOp,
+    QOperator,
     SafeSubspace,
+    act,
     diagonal_spectrum,
     first_witness,
     gram_squared_element,
@@ -230,12 +233,13 @@ def _window(name: str, space: FockSpace, res) -> SafeSubspace:
     return SafeSubspace(space, space.cutoff - reach)
 
 
-def _residual_str(res, poly) -> str:
+def coefficient_text(op, poly) -> str:
+    """An entry ``poly`` of ``op`` as text, with op's den and sqrt flag."""
     txt = str(poly)
-    if not res.den.is_one:
-        txt = f"({txt}) / ({res.den})"
-    if res.sqrt_sq is not None:
-        txt = f"({txt}) * sqrt({res.sqrt_sq})"
+    if not op.den.is_one:
+        txt = f"({txt}) / ({op.den})"
+    if op.sqrt_sq is not None:
+        txt = f"({txt}) * sqrt({op.sqrt_sq})"
     return txt
 
 
@@ -244,7 +248,7 @@ def _check_exact(rel: Relation, ctx, flip: bool = False) -> Report:
     res = rel.builder(ctx, flip)
     window = _window(rel.name, ctx.space, res)
     hit = first_witness(res, window)
-    bad = None if hit is None else (f"{hit[0]} -> {hit[1]}", _residual_str(res, hit[2]))
+    bad = None if hit is None else (f"{hit[0]} -> {hit[1]}", coefficient_text(res, hit[2]))
     mode = MODE_SQUARED if res.sqrt_sq is not None else MODE_EXACT
     return _report(t0, bad, rel.name, rel.family, rel.anchor, mode, ctx.space.cutoff,
                    window.max_nu, expected=rel.expect_holds, note=rel.note)
@@ -786,10 +790,8 @@ def pyramid_text(labels: str = "pairs", sector: str = "even", rows: int = 4) -> 
 
 def _column_is(op, src: FockState, dst: FockState, want: LaurentPoly,
                want_flag: LaurentPoly | None = None) -> str | None:
-    """None when op|src> = want|dst> exactly (single-entry column), else a
-    reason string."""
+    """None when op|src> = want|dst> exactly (single-entry column), else why not."""
     col = op.column(src)
-    col = {st: p for st, p in col.items() if not p.is_zero}
     if set(col) != {dst}:
         return f"image support {sorted(map(str, col))} != {{{dst}}}"
     if op.sqrt_sq != want_flag:
@@ -806,27 +808,26 @@ def _eta_exponent(n1: int, n0: int, nm1: int) -> Q:
 def _basis_ts(gens: GeneratorSet):
     """(t1+)^x (t-1+)^y |0> = q^((x-y)/4 + xy/2) |x,y>."""
     vac = FockState(0, 0)
-    cutoff = gens.space.cutoff
     count = 0
-    opx = None
-    for x in range(cutoff + 1):
-        opx = opx @ gens["td1"] if opx is not None else gens["td1"].power(0)
-        opxy = opx
-        for y in range(cutoff + 1 - x):
-            if y:
-                opxy = opxy @ gens["tdm1"]
+    kets = [QOperator.ket(gens.space, vac)]  # kets[y] = (t1+)^x (t-1+)^y |0>
+    for _ in range(gens.space.cutoff):
+        kets.append(gens["tdm1"] @ kets[-1])
+    for x in range(gens.space.cutoff + 1):
+        for y, ket in enumerate(kets):
             want = q_power(Q(x - y, 4) + Q(x * y, 2))
-            bad = _column_is(opxy, vac, FockState(x, y), want)
+            bad = _column_is(ket, vac, FockState(x, y), want)
             if bad is not None:
                 return (f"|{x},{y}>", bad), count
             count += 1
+        kets = [gens["td1"] @ ket for ket in kets[:-1]]
     return None, count
 
 
 def _triple_monomial(gens: GeneratorSet, n1: int, n0: int, nm1: int, dst: FockState):
-    """(T1)^n1 (T0)^n0 (T-1)^n-1, and None when it sends |0> to
-    q^E [2]^(n0//2) sqrt([2])^(n0%2) |dst>, else the reason it does not."""
-    op = gens["T1"].power(n1) @ gens["T0"].power(n0) @ gens["Tm1"].power(nm1)
+    """(T1)^n1 (T0)^n0 (T-1)^n-1 |0><0|, and None when it is
+    q^E [2]^(n0//2) sqrt([2])^(n0%2) |dst><0|, else the reason it is not."""
+    op = act([(gens["T1"], n1), (gens["T0"], n0), (gens["Tm1"], nm1)],
+             QOperator.ket(gens.space, FockState(0, 0)))
     want = q_power(_eta_exponent(n1, n0, nm1)) * q_int(2) ** (n0 // 2)
     return op, _column_is(op, FockState(0, 0), dst, want, q_int(2) if n0 % 2 else None)
 
@@ -872,10 +873,11 @@ def _basis_spb(gens: GeneratorSet, convention: TripleConvention):
 def _basis_rtt(gens: GeneratorSet):
     """(T0)^2 |0> = q^-2 [2] T1 T-1 |0> = q^+2 [2] T-1 T1 |0>."""
     vac = FockState(0, 0)
-    lhs = gens["T0"] @ gens["T0"]
+    ket = QOperator.ket(gens.space, vac)
+    lhs = act([(gens["T0"], 2)], ket)
     count = 0
     for rho, a, b in ((-2, "T1", "Tm1"), (2, "Tm1", "T1")):
-        rhs = (gens[a] @ gens[b]).scale(q_power(rho) * q_int(2))
+        rhs = act([(gens[a], 1), (gens[b], 1)], ket).scale(q_power(rho) * q_int(2))
         lcol, rcol = lhs.column(vac), rhs.column(vac)
         for st in set(lcol) | set(rcol):
             lv = QRationalFn(lcol.get(st, LaurentPoly.zero()), lhs.den)
@@ -1021,17 +1023,17 @@ def check_ladder_actions(
     sq_failure = None
     t0 = time.perf_counter()
     for name, opname, src, kmax, dst_f, exp_f, fact_f, sq_f in _ladder_cases(max_n):
-        op = None
+        op = QOperator.ket(gens.space, src)  # (opname)^k |src><src|
         for k in range(kmax + 1):
-            op = op @ gens[opname] if op is not None else gens[opname].power(k)
+            if k:
+                op = gens[opname] @ op
             hi, lo = fact_f(k)
             dst = dst_f(k)
-            col = {st: p for st, p in op.column(src).items() if not p.is_zero}
+            col = op.column(src)
             lhs = QRationalFn(col.get(dst, LaurentPoly.zero()), op.den)
             rhs = QRationalFn(q_power(exp_f(k)) * q_factorial(hi), q_factorial(lo))
             if set(col) != {dst} or not (lhs == rhs):
                 failures.setdefault(name, (f"{src}, k={k}", f"{lhs} != {rhs}"))
-                continue
             sq = gram_squared_element(op, dst, src)
             if not (sq == sq_f(k)) and sq_failure is None:
                 sq_failure = (f"{src}, k={k} ({name})", f"{sq} != {sq_f(k)}")
@@ -1064,9 +1066,10 @@ def check_ladder_actions(
         nctx = numeric_context(gens, qv)
         for name, opname, src, kmax, dst_f, exp_f, fact_f, sq_f in _ladder_cases(max_n):
             si = gens.space.index(src)
-            nop = None
+            nop = NumOp.ket(gens.space, qv, src)
             for k in range(kmax + 1):
-                nop = nop @ nctx[opname] if nop is not None else nctx[opname].power(k)
+                if k:
+                    nop = nctx[opname] @ nop
                 got = nop.entries.get((gens.space.index(dst_f(k)), si), 0.0)
                 want = sq_f(k)(qv) ** 0.5
                 if abs(got - want) > tol * (1.0 + abs(want)):

@@ -8,6 +8,8 @@ import weakref
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sp4q.algebras
 from sp4q.algebras import (
@@ -28,7 +30,8 @@ from sp4q.algebras import (
     resolve_casimirs,
 )
 from sp4q.fock import FockSpace, FockState
-from sp4q.ops import SafeSubspace, diagonal_spectrum, first_witness, to_numeric
+from sp4q.ops import (
+    NumOp, QOperator, SafeSubspace, act, diagonal_spectrum, first_witness, to_numeric)
 from sp4q.qnum import ONE, QRationalFn, q_int, q_power
 from sp4q.verify import check_relation
 
@@ -424,3 +427,32 @@ def test_manifest_keeps_no_reach_set_alive(fresh_builds, monkeypatch):
     assert not [key for key in sp4q.algebras._LIVE.keys() if key[1] == 6]
     # one set per family served every relation of its manifest
     assert fresh_builds == {fam: 1 for fam in FAMILIES}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_word_on_a_ket_is_the_column_of_its_product(data):
+    # act(word, ket(st)) against the column of the whole product, built
+    # here with @ from the identity: same entries, den and sqrt flag, and
+    # the same numeric column to 1e-12 relative
+    family = data.draw(st.sampled_from(FAMILIES))
+    gens = build(family, FockSpace(data.draw(st.integers(6, 10))))
+    word = data.draw(st.lists(st.tuples(st.sampled_from(gens.elements), st.integers(0, 3)),
+                              min_size=1, max_size=3))
+    state = data.draw(st.sampled_from(gens.space.states))
+    q = data.draw(st.sampled_from((0.7, 1.3)))
+    nctx = numeric_context(gens, q)
+    product, nproduct = QOperator.identity(gens.space), NumOp.identity(gens.space, q)
+    for name, k in word:
+        for _ in range(k):
+            product, nproduct = product @ gens[name], nproduct @ nctx[name]
+    ket = act([(gens[name], k) for name, k in word], QOperator.ket(gens.space, state))
+    assert ket.column(state) == product.column(state)
+    assert (ket.den, ket.sqrt_sq) == (product.den, product.sqrt_sq)
+    src = gens.space.index(state)
+    nket = act([(nctx[name], k) for name, k in word], NumOp.ket(gens.space, q, state))
+    got = {d: v for (d, s), v in nket.entries.items() if s == src}
+    want = {d: v for (d, s), v in nproduct.entries.items() if s == src}
+    assert set(got) == set(want)
+    for d, v in want.items():
+        assert abs(got[d] - v) <= 1e-12 * abs(v), (word, state, d)

@@ -106,9 +106,10 @@ def test_climb_bookkeeping_through_composition():
 def test_column_and_power():
     space = FockSpace(5)
     ad1 = creator(space, 1)
-    col = ad1.power(3).column(FockState(0, 0))
+    cube = ad1 @ ad1 @ ad1
+    col = cube.column(FockState(0, 0))
     assert col == {FockState(3, 0): ONE}
-    assert ad1.power(3).climb == 3
+    assert cube.climb == 3
 
 
 def test_gram_squared_elements():

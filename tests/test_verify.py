@@ -481,13 +481,45 @@ def test_basis_unknown_and_small_cutoff():
         check_basis_construction("ts", 4)
 
 
-def test_basis_detects_wrong_coefficient(gens):
-    # a deliberately corrupted generator set must be caught
+def _ladder_mutant(up, edge, center, row):
+    """The ladder reports a generator scaled by s fails, and their witnesses."""
+    return {
+        f"ladder {row}": f"{edge}, k=1",
+        f"ladder center {up}": f"{center}, k=1",
+        "ladder squared elements": f"{edge}, k=1 ({row})",
+        "ladder numeric entries q=0.7": f"{edge}, k=1 ({row})",
+        "ladder numeric entries q=1.3": f"{edge}, k=1 ({row})",
+    }
+
+
+def _triple_mutant(triple, pair):
+    """The basis reports a T generator scaled by s fails, and their witnesses."""
+    return {"basis spb_minN0": f"{triple} -> {pair}", "basis spb_maxN0": f"{triple} -> {pair}",
+            "basis eta": triple, "basis rtt": "|2,2>"}
+
+
+# generator scaled by s -> {failing report: witness}
+_MUTANT_FAILS = {
+    "T1": _triple_mutant("|1,0,0>", "|2,0>"),
+    "T0": _triple_mutant("|0,1,0>", "|1,1>"),
+    "Tm1": _triple_mutant("|0,0,1>", "|0,2>"),
+    "td1": {"basis ts": "|1,0>"},
+    "tdm1": {"basis ts": "|0,1>"},
+    "L1": _ladder_mutant("raising", "|0,2>", "|1,1>", "bottom-row raising"),
+    "Lm1": _ladder_mutant("lowering", "|2,0>", "|1,1>", "top-row lowering"),
+    "L01": {"ladder weight eigenvalue": "|0,1>"},
+}
+
+
+@pytest.mark.parametrize("name", _MUTANT_FAILS)
+def test_bases_and_ladders_detect_a_wrong_coefficient(gens, name):
+    # one generator scaled by s = q^(1/4) fails exactly the basis and
+    # ladder reports that read it, each with its first witness
     g = gens["tensor"]
-    broken = dataclasses.replace(g, ops={**g.ops, "td1": g.ops["td1"].scale(q_power(Q(1, 4)))})
-    r = check_basis_construction("ts", gens=broken)
-    assert not r.holds
-    assert r.witness and r.residual
+    broken = dataclasses.replace(g, ops={**g.ops, name: g.ops[name].scale(q_power(Q(1, 4)))})
+    reports = check_all_bases(gens=broken) + check_ladder_actions(qs=(0.7, 1.3), gens=broken)
+    assert {r.relation: r.witness for r in reports if not r.holds} == _MUTANT_FAILS[name]
+    assert all(r.residual for r in reports if not r.holds)
 
 
 # -- ladders ---------------------------------------------------------------------
@@ -530,7 +562,7 @@ def test_ladder_endpoint_identity():
     space = FockSpace(8)
     g = build("tensor", space)
     n = 2
-    op = g["Lm1"].power(2 * n)
+    op = g["Lm1"] @ g["Lm1"] @ g["Lm1"] @ g["Lm1"]
     col = {s: p for s, p in op.column(FockState(2 * n, 0)).items() if not p.is_zero}
     assert set(col) == {FockState(0, 2 * n)}
     assert QRationalFn(col[FockState(0, 2 * n)], op.den) == QRationalFn(
