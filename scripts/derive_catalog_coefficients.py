@@ -24,6 +24,7 @@ from fractions import Fraction as Q
 
 from sp4q.algebras import build, exact_context
 from sp4q.fock import FockSpace
+from sp4q.notation import STATE, state_formula
 from sp4q.ops import QOperator, SafeSubspace, act, is_zero_on
 from sp4q.qnum import LaurentPoly, QRationalFn, q_int, q_power
 
@@ -215,7 +216,7 @@ def main():
     print(f"  c2 = {fmt_rat(c2)}")
 
     print("== [T_0, ~T_0] = coeff * [2][N+1] q^(-2J0) ==")
-    shape = (c.diag_brk(lambda st: st.nu + 1) @ qm2J0).scale(two)
+    shape = (c.diag_brk(state_formula("N + 1")) @ qm2J0).scale(two)
     print(f"  coeff = {solve_single(c.comm(T[0], Tt[0]), shape, window)}")
 
     print("== (T_0)^2 = coeff * [2] T_(+1) T_(-1)  and  coeff' * [2] T_(-1) T_(+1) ==")
@@ -225,7 +226,7 @@ def main():
 
     print("== q L(-1)L(+1) + q^-1 L(+1)L(-1) = c1 * [N][N+2] + c2 * L_0 L_0 ==")
     lhs = c.qpow(L[-1] @ L[1], 1) + c.qpow(L[1] @ L[-1], -1)
-    nn2 = c.diag_brk(lambda st: st.nu) @ c.diag_brk(lambda st: st.nu + 2)
+    nn2 = c.diag_brk(STATE["N"]) @ c.diag_brk(state_formula("N + 2"))
     l0sq = g["L01"] @ g["L01"]
     c1, c2 = solve_pair(lhs, nn2, l0sq, (space.states[3], space.states[4]), space, window)
     print(f"  c1 = {fmt_rat(c1)}  (expect 1/[2]: {(c1 == QRationalFn(LaurentPoly.one(), two))})")
@@ -235,12 +236,12 @@ def main():
     sq = (
         c.qpow(T[-1] @ Tt[1], 1) + c.qpow(T[1] @ Tt[-1], -1) + T[0] @ Tt[0]
     )
-    shape = c.diag_brk(lambda st: st.nu) @ c.diag_brk(lambda st: st.nu - 1)
+    shape = c.diag_brk(STATE["N"]) @ c.diag_brk(state_formula("N - 1"))
     print(f"  coeff = {solve_single(sq, shape, window)}")
     sq = (
         c.qpow(Tt[-1] @ T[1], 1) + c.qpow(Tt[1] @ T[-1], -1) + Tt[0] @ T[0]
     )
-    shape = c.diag_brk(lambda st: st.nu + 2) @ c.diag_brk(lambda st: st.nu + 3)
+    shape = c.diag_brk(state_formula("N + 2")) @ c.diag_brk(state_formula("N + 3"))
     print(f"  coeff (reversed order, vs [N+2][N+3]) = {solve_single(sq, shape, window)}")
 
     print("== vacuum powers: (T_0)^n0 (T_-1)^nm1 |0> : q-exponent of the prefactor ==")

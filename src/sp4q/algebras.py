@@ -21,7 +21,9 @@ Families
 Every relation of each family is packaged as a named :class:`Relation`
 whose builder produces the residual operator (zero iff the identity
 holds) in any of three scalar contexts: exact deformed, exact classical
-limit (q = 1), or floating point at fixed q.  Builders take a ``flip``
+limit (q = 1), or floating point at fixed q; the magnitude context
+rebuilds a numeric residual from the magnitudes of its terms, the scale
+of its rounding error.  Builders take a ``flip``
 switch that negates one term, used by the mutation self-test.  Each
 builder is parsed from the relation's anchor, the formula its reports
 print, by :mod:`sp4q.notation` on the family's first
@@ -53,8 +55,9 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .fock import FockSpace, FockState
-from .notation import formula_builder, relation_builder
-from .ops import NumOp, QOperator, basis_norms, classical_gram, gram, to_numeric
+from .notation import STATE, StateFormula, formula_builder, relation_builder
+from .ops import (
+    NumMagnitude, NumOp, QOperator, basis_norms, classical_gram, gram, magnitude, to_numeric)
 from .qnum import NEAR_ONE, LaurentPoly, ONE, Q, q_int, q_power
 
 FAMILIES = ("classical", "qboson", "tensor")
@@ -133,20 +136,24 @@ class _LazyOps(Mapping):
         return len(self._names)
 
 
-def _diag(space, fn) -> QOperator:
-    """Diagonal operator with exact rational eigenvalues fn(state)."""
-
-    def value(st):
-        v = fn(st)
-        if type(v) is int:
-            return LaurentPoly._of({0: v} if v else {})
-        return LaurentPoly.const(v)
-
-    return QOperator.diagonal(space, value)
+def _diag(space, f: StateFormula) -> QOperator:
+    """Diagonal operator with the exact rational eigenvalues of the
+    formula f: the store holds each nonzero value times k, the least
+    common denominator of the values, as ``QOperator`` would fold them."""
+    d, nums = f.div, f.numerators(space)
+    k = 1
+    if d > 1:
+        for p in nums:
+            if p:
+                k = math.lcm(k, d // math.gcd(p, d))
+    store = {(i, i): LaurentPoly._of({0: p * k // d}) for i, p in enumerate(nums) if p}
+    return QOperator._of(space, store, k, ONE, None, 0, 0, 0)
 
 
 def _diag_poly(space, fn, den: LaurentPoly = ONE) -> QOperator:
-    return QOperator.diagonal(space, fn, den=den)
+    """Diagonal operator with the Laurent-polynomial entries fn(state)."""
+    entries = {(i, i): p for i, st in enumerate(space.states) if not (p := fn(st)).is_zero}
+    return QOperator(space, entries, den=den)
 
 
 def _mode_creator(space, mode, coeff) -> QOperator:
@@ -168,34 +175,31 @@ def _mode_annihilator(space, mode, coeff) -> QOperator:
     return QOperator.from_rule(space, rule, nu_raise=-1, nu_lower=1)
 
 
-def _s_exponent(x, k: int, error: str) -> int:
-    """k * x as an integer exponent of s; ``error`` when it is not one.
-    The product is taken in ``int`` arithmetic."""
-    if type(x) is int:
-        return k * x
-    if type(x) is not Q:
-        x = Q(x)
-    e, rem = divmod(k * x.numerator, x.denominator)
-    if rem:
+def _exponents(space, f: StateFormula, k: int, error: str) -> list[int]:
+    """k times the formula f on every state, as integer exponents of s;
+    ``error`` when one is not an integer."""
+    es = [divmod(k * p, f.div) for p in f.numerators(space)]
+    if any(rem for _, rem in es):
         raise ValueError(error)
-    return e
+    return [e for e, _ in es]
 
 
-def _spow(space, fn) -> QOperator:
-    """Diagonal q-power operator q^{fn(state)} (fn in multiples of 1/4)."""
-
-    def value(st):
-        e = _s_exponent(fn(st), 4, "q-power with non-quarter-integer exponent")
-        return LaurentPoly._of({e: 1})
-
-    return QOperator.diagonal(space, value)
+def _spow(space, f: StateFormula) -> QOperator:
+    """Diagonal q-power operator q^f (f in multiples of 1/4)."""
+    es = _exponents(space, f, 4, "q-power with non-quarter-integer exponent")
+    return QOperator._of(space, {(i, i): LaurentPoly._of({e: 1}) for i, e in enumerate(es)},
+                         1, ONE, None, 0, 0, 0)
 
 
 # -- recipes: name -> (space, ops) -> QOperator, in each family's order --------
 
 
-def _diagonal(fn) -> Callable:
-    return lambda sp, g: _diag(sp, fn)
+def _diagonal(label: str) -> Callable:
+    return lambda sp, g: _diag(sp, STATE[label])
+
+
+def _parity(sp, g) -> QOperator:
+    return _diag_poly(sp, lambda st: LaurentPoly._of({0: (-1) ** st.parity}))
 
 
 def _product(a: str, b: str) -> Callable:
@@ -207,12 +211,12 @@ _CLASSICAL = {
     "b1": lambda sp, g: _mode_annihilator(sp, 1, lambda st: LaurentPoly.const(st.n1)),
     "bdm1": lambda sp, g: _mode_creator(sp, -1, lambda st: ONE),
     "bm1": lambda sp, g: _mode_annihilator(sp, -1, lambda st: LaurentPoly.const(st.nm1)),
-    "N1": _diagonal(lambda st: st.n1),
-    "Nm1": _diagonal(lambda st: st.nm1),
-    "N": _diagonal(lambda st: st.nu),
-    "I0": _diagonal(lambda st: st.m),
-    "A0": _diagonal(lambda st: Q(st.nu + 1, 2)),
-    "P": _diagonal(lambda st: (-1) ** st.parity),
+    "N1": _diagonal("N_1"),
+    "Nm1": _diagonal("N_-1"),
+    "N": _diagonal("N"),
+    "I0": _diagonal("I_0"),
+    "A0": _diagonal("K0_0"),
+    "P": _parity,
     "F11": _product("bd1", "bd1"),
     "F1m1": _product("bd1", "bdm1"),
     "Fm1m1": _product("bdm1", "bdm1"),
@@ -225,10 +229,10 @@ _CLASSICAL = {
     "G0": lambda sp, g: g["G1m1"],
     "Fp": lambda sp, g: g["F11"].scale(Q(1, 2)),
     "Gp": lambda sp, g: g["G11"].scale(Q(1, 2)),
-    "Ap": _diagonal(lambda st: Q(2 * st.n1 + 1, 4)),
+    "Ap": _diagonal("K0^+"),
     "Fm": lambda sp, g: g["Fm1m1"].scale(Q(1, 2)),
     "Gm": lambda sp, g: g["Gm1m1"].scale(Q(1, 2)),
-    "Am": _diagonal(lambda st: Q(2 * st.nm1 + 1, 4)),
+    "Am": _diagonal("K0^-"),
     "Fsum": lambda sp, g: (g["F11"] + g["Fm1m1"]).scale(Q(1, 2)),
     "Gsum": lambda sp, g: (g["G11"] + g["Gm1m1"]).scale(Q(1, 2)),
     "C10": lambda sp, g: (g["bd1"] @ g["b1"]) - (g["bm1"] @ g["bdm1"]),
@@ -239,11 +243,11 @@ _QBOSON = {
     "a1": lambda sp, g: _mode_annihilator(sp, 1, lambda st: q_int(st.n1)),
     "adm1": lambda sp, g: _mode_creator(sp, -1, lambda st: ONE),
     "am1": lambda sp, g: _mode_annihilator(sp, -1, lambda st: q_int(st.nm1)),
-    "N1": _diagonal(lambda st: st.n1),
-    "Nm1": _diagonal(lambda st: st.nm1),
-    "N": _diagonal(lambda st: st.nu),
-    "J0": _diagonal(lambda st: st.m),
-    "P": _diagonal(lambda st: (-1) ** st.parity),
+    "N1": _diagonal("N_1"),
+    "Nm1": _diagonal("N_-1"),
+    "N": _diagonal("N"),
+    "J0": _diagonal("J_0"),
+    "P": _parity,
     "Fq11": _product("ad1", "ad1"),
     "Fq1m1": _product("ad1", "adm1"),
     "Fqm1m1": _product("adm1", "adm1"),
@@ -254,31 +258,31 @@ _QBOSON = {
     "Jm": _product("adm1", "a1"),
     "K0p": lambda sp, g: g["Fq1m1"],
     "K0m": lambda sp, g: g["Gq1m1"],
-    "K00": _diagonal(lambda st: Q(st.nu + 1, 2)),
+    "K00": _diagonal("K0_0"),
     "Kpp": lambda sp, g: g["Fq11"].over(q_int(2)),
     "Kpm": lambda sp, g: g["Gq11"].over(q_int(2)),
-    "Kp0": _diagonal(lambda st: Q(2 * st.n1 + 1, 4)),
+    "Kp0": _diagonal("K0^+"),
     "Kmp": lambda sp, g: g["Fqm1m1"].over(q_int(2)),
     "Kmm": lambda sp, g: g["Gqm1m1"].over(q_int(2)),
-    "Km0": _diagonal(lambda st: Q(2 * st.nm1 + 1, 4)),
+    "Km0": _diagonal("K0^-"),
 }
 
 
-def _tensor_mode(mode: str, fn, k: int) -> Callable:
-    """q^(k/4) mode q^(fn(state)), with ``mode`` a q-boson mode operator."""
-    return lambda sp, g: (g[mode] @ _spow(sp, fn)).scale(q_power(Q(k, 4)))
+def _tensor_mode(mode: str, f: StateFormula, k: int) -> Callable:
+    """q^(k/4) mode q^f, with ``mode`` a q-boson mode operator."""
+    return lambda sp, g: (g[mode] @ _spow(sp, f)).scale(q_power(Q(k, 4)))
 
 
 # t_k+ = q^(k/4) a_k+ q^(k N_-k / 2);  t_k = q^(-k/4) a_-k q^(-k N_k / 2).
 # The q-boson modes are private to a tensor set, and its diagonals and
 # J_+, J_- are the q-boson ones.
 _TENSOR = {
-    "td1": _tensor_mode("ad1", lambda st: Q(st.nm1, 2), 1),
-    "tdm1": _tensor_mode("adm1", lambda st: Q(-st.n1, 2), -1),
-    "t1": _tensor_mode("am1", lambda st: Q(-st.n1, 2), -1),
-    "tm1": _tensor_mode("a1", lambda st: Q(st.nm1, 2), 1),
+    "td1": _tensor_mode("ad1", STATE["N_-1"].over(2), 1),
+    "tdm1": _tensor_mode("adm1", STATE["N_1"].over(-2), -1),
+    "t1": _tensor_mode("am1", STATE["N_1"].over(-2), -1),
+    "tm1": _tensor_mode("a1", STATE["N_-1"].over(2), 1),
     **{k: _QBOSON[k] for k in ("N1", "Nm1", "N", "J0", "Jp", "Jm", "P")},
-    "qm2J0": lambda sp, g: _spow(sp, lambda st: 2 * (st.nm1 - st.n1) * Q(1, 2)),
+    "qm2J0": lambda sp, g: _spow(sp, STATE["N_-1"] - STATE["N_1"]),
     "T1": _product("td1", "td1"),
     "Tm1": _product("tdm1", "tdm1"),
     "T0": lambda sp, g: (g["td1"] @ g["tdm1"]).scale(q_power(Q(-1, 2))).times_sqrt(q_int(2)),
@@ -481,21 +485,17 @@ class ExactContext:
     def sqrt2(self, a):
         return a.times_sqrt(q_int(2))
 
-    def diag_brk(self, fn, m: int = 1):
+    def diag_brk(self, f: StateFormula, m: int = 1):
         den = LaurentPoly({4 * m: 1, -4 * m: -1})
+        es = _exponents(self.space, f, 4 * m, "bracket argument with non-integral s-exponent")
+        store = {(i, i): LaurentPoly._of({e: 1, -e: -1}) for i, e in enumerate(es) if e}
+        return QOperator._of(self.space, store, 1, den, None, 0, 0, 0)
 
-        def value(st):
-            e = _s_exponent(
-                fn(st), 4 * m, "bracket argument with non-integral s-exponent")
-            return LaurentPoly._of({e: 1, -e: -1} if e else {})
+    def diag_pow(self, f: StateFormula):
+        return _spow(self.space, f)
 
-        return QOperator.diagonal(self.space, value, den=den)
-
-    def diag_pow(self, fn):
-        return _spow(self.space, fn)
-
-    def diag_frac(self, fn):
-        return _diag(self.space, fn)
+    def diag_frac(self, f: StateFormula):
+        return _diag(self.space, f)
 
     def ident(self):
         return QOperator.identity(self.space)
@@ -528,10 +528,10 @@ class ClassicalContext(ExactContext):
     def sqrt2(self, a):
         return a.times_sqrt(LaurentPoly.const(2))
 
-    def diag_brk(self, fn, m: int = 1):
-        return _diag(self.space, fn)
+    def diag_brk(self, f: StateFormula, m: int = 1):
+        return _diag(self.space, f)
 
-    def diag_pow(self, fn):
+    def diag_pow(self, f: StateFormula):
         return QOperator.identity(self.space)
 
 
@@ -560,7 +560,7 @@ class NumericContext:
         qm = self.q ** float(m)
         if qm == 1.0:
             raise ValueError(
-                f"the q-bracket [{x}]_{m} is 0/0 at q = 1; numeric checks"
+                f"the q-bracket [{x:g}]_{m} is 0/0 at q = 1; numeric checks"
                 f" of the {self.gens.family} family need q != 1"
             )
         if abs(self.q - 1.0) < NEAR_ONE:
@@ -596,25 +596,57 @@ class NumericContext:
     def sqrt2(self, a):
         return a.scale(math.sqrt(self._num_brk(2)))
 
-    def _diag_of(self, value) -> NumOp:
-        entries = {}
-        for i, st in enumerate(self.space.states):
-            v = value(st)
+    def _diag_of(self, f: StateFormula, value) -> NumOp:
+        """The diagonal of ``value(x)`` for x the formula f on each state;
+        x = numerator / div by int true division, the float of the
+        rational value, and ``value`` called once per distinct x."""
+        d, seen, entries = f.div, {}, {}
+        for i, p in enumerate(f.numerators(self.space)):
+            v = seen.get(p)
+            if v is None:
+                v = seen[p] = value(p / d)
             if v:
                 entries[(i, i)] = v
         return NumOp(self.space, self.q, entries)
 
-    def diag_brk(self, fn, m: int = 1):
-        return self._diag_of(lambda st: self._num_brk(fn(st), m))
+    def diag_brk(self, f: StateFormula, m: int = 1):
+        return self._diag_of(f, lambda x: self._num_brk(x, m))
 
-    def diag_pow(self, fn):
-        return self._diag_of(lambda st: self._num_pow(fn(st)))
+    def diag_pow(self, f: StateFormula):
+        return self._diag_of(f, self._num_pow)
 
-    def diag_frac(self, fn):
-        return self._diag_of(lambda st: float(fn(st)))
+    def diag_frac(self, f: StateFormula):
+        return self._diag_of(f, float)
 
     def ident(self):
         return NumOp.identity(self.space, self.q)
+
+
+class MagnitudeContext(NumericContext):
+    """The magnitudes of a numeric context's terms.  Operators are the
+    |entries| of the numeric ones (NumMagnitude), so ``-`` adds, unary
+    minus is the identity and every scalar counts by its absolute value;
+    ``comm`` returns ab + |q^rho| ba.  A relation built here gives
+    |terms|: entry by entry, the sum of the magnitudes that its numeric
+    residual adds up."""
+
+    kind = "magnitude"
+
+    def __init__(self, nctx: NumericContext):
+        self.gens, self.space, self.q = nctx.gens, nctx.space, nctx.q
+        self._classical, self._numeric = nctx._classical, nctx
+
+    def __getitem__(self, name: str) -> NumMagnitude:
+        return magnitude(self._numeric[name])
+
+    def comm(self, a, b, rho=0, flip: bool = False):
+        return (a @ b) + (b @ a).scale(self._num_pow(rho))
+
+    def _diag_of(self, f: StateFormula, value) -> NumMagnitude:
+        return magnitude(super()._diag_of(f, value))
+
+    def ident(self):
+        return NumMagnitude.identity(self.space, self.q)
 
 
 def exact_context(gens: GeneratorSet) -> ExactContext:

@@ -272,7 +272,8 @@ def _add_common(p, cutoff=True, fmt=True, tol=False, qlist=False):
                        help="output format (default %(default)s)")
     if tol:
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="numeric tolerance (default %(default)s)")
+                       help="numeric tolerance, absolute and relative to the"
+                       " magnitude of the terms (default %(default)s)")
     if qlist:
         p.add_argument("--q", type=float, action="append", metavar="Q",
                        help="numeric sample point; repeatable"

@@ -14,11 +14,16 @@ grammar (blanks separate tokens; README.md has the full reference)::
               | "[" side "]" ["_" INT] | "[" side "," side "]" ["_" "{" atom "}"]
 
 :data:`OPERATORS` maps each family's operator labels to generators and
-:data:`STATE` gives each state label's value on a basis state.  Operators
-compose; scalar factors apply right to left, ``/d`` divides the product and
-a leading sign applies last.  A q-power of state labels, a bracket of
-state labels or of a non-integer, and a side made only of numbers and
-state labels are diagonal operators.
+:data:`STATE` gives each state label's value on a basis state, as a
+:class:`StateFormula`.  Operators compose; scalar factors apply right to
+left, ``/d`` divides the product and a leading sign applies last.  A
+q-power of state labels, a bracket of state labels or of a non-integer,
+and a side made only of numbers and state labels are diagonal operators.
+Each such expression is compiled once, at parse time, into a polynomial
+in (n1, n-1) with ``int`` coefficients over one ``int`` divisor, from
+which a context builds the diagonal in integer arithmetic.  A bracket
+argument or q-power exponent must be affine in (n1, n-1); one of higher
+degree is rejected here, naming the relation.
 ``[a, b]_{q^r} = 0`` flips the commutator's second product; any other
 relation ``lhs = rhs`` has the residual ``lhs - rhs``, and ``lhs + rhs``
 when flipped.  A comma after the last side, or the word ``on``, starts a
@@ -28,27 +33,95 @@ qualifier (``on |j, m>``), which is not parsed.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from typing import Callable
 
 from .qnum import Q
 
-#: state label -> its value on a basis state
-STATE: dict[str, Callable] = {
-    "N": operator.attrgetter("nu"),
-    "N_1": operator.attrgetter("n1"),
-    "N_+1": operator.attrgetter("n1"),
-    "N_-1": operator.attrgetter("nm1"),
-    "J_0": operator.attrgetter("m"),
-    "I_0": operator.attrgetter("m"),
-    "i_0": operator.attrgetter("m"),
-    "m": operator.attrgetter("m"),
-    "i": operator.attrgetter("j"),
-    "j": operator.attrgetter("j"),
-    "K0_0": lambda st: Q(st.nu + 1, 2),
-    "K0^+": lambda st: Q(2 * st.n1 + 1, 4),
-    "K0^-": lambda st: Q(2 * st.nm1 + 1, 4),
+class StateFormula:
+    """A state expression compiled once: a polynomial in (n1, n-1) with
+    ``int`` coefficients over one positive ``int`` divisor.  Its value on
+    the state |n1, n-1> is ``numerator / div``, computed in ``int``
+    arithmetic.  ``terms`` maps exponent pairs (i, j) of n1^i n-1^j to
+    nonzero coefficients, reduced so that they and ``div`` share no
+    factor.  Instances are never mutated."""
+
+    __slots__ = ("terms", "div")
+
+    def __init__(self, terms: dict[tuple[int, int], int], div: int = 1):
+        if div < 0:
+            terms, div = {e: -v for e, v in terms.items()}, -div
+        terms = {e: v for e, v in terms.items() if v}
+        g = math.gcd(div, *terms.values())
+        if g > 1:
+            terms, div = {e: v // g for e, v in terms.items()}, div // g
+        self.terms, self.div = terms, div
+
+    @property
+    def degree(self) -> int:
+        return max((i + j for i, j in self.terms), default=0)
+
+    @property
+    def constant(self):
+        """The value (``int`` when div is 1, else ``Fraction``) of a
+        formula with no state label in it; None for any other."""
+        if any(self.terms.keys() - {(0, 0)}):
+            return None
+        v = self.terms.get((0, 0), 0)
+        return v if self.div == 1 else Q(v, self.div)
+
+    def __neg__(self) -> "StateFormula":
+        return StateFormula({e: -v for e, v in self.terms.items()}, self.div)
+
+    def __add__(self, other: "StateFormula") -> "StateFormula":
+        terms = {e: v * other.div for e, v in self.terms.items()}
+        for e, v in other.terms.items():
+            terms[e] = terms.get(e, 0) + v * self.div
+        return StateFormula(terms, self.div * other.div)
+
+    def __sub__(self, other: "StateFormula") -> "StateFormula":
+        return self + -other
+
+    def __mul__(self, other: "StateFormula") -> "StateFormula":
+        terms: dict[tuple[int, int], int] = {}
+        for (i, j), v in self.terms.items():
+            for (k, m), w in other.terms.items():
+                terms[(i + k, j + m)] = terms.get((i + k, j + m), 0) + v * w
+        return StateFormula(terms, self.div * other.div)
+
+    def over(self, n: int) -> "StateFormula":
+        """This formula divided by a nonzero int."""
+        return StateFormula(self.terms, self.div * n)
+
+    def numerators(self, space) -> list[int]:
+        """``numerator(n1, n-1)`` on every state of ``space``, in
+        enumeration order; the values are these over ``div``."""
+        c, states = self.terms, space.states
+        if self.degree <= 1:
+            c0, a, b = c.get((0, 0), 0), c.get((1, 0), 0), c.get((0, 1), 0)
+            return [c0 + a * st.n1 + b * st.nm1 for st in states]
+        return [sum(v * st.n1 ** i * st.nm1 ** j for (i, j), v in c.items())
+                for st in states]
+
+    def __repr__(self) -> str:
+        return f"StateFormula({self.terms!r}, {self.div})"
+
+
+_N1, _NM1 = StateFormula({(1, 0): 1}), StateFormula({(0, 1): 1})
+
+#: state label -> its value on a basis state, compiled
+STATE: dict[str, StateFormula] = {
+    "N": _N1 + _NM1,
+    "N_1": _N1,
+    "N_+1": _N1,
+    "N_-1": _NM1,
+    **dict.fromkeys(("J_0", "I_0", "i_0", "m"), (_N1 - _NM1).over(2)),
+    **dict.fromkeys(("i", "j"), (_N1 + _NM1).over(2)),
+    "K0_0": StateFormula({(1, 0): 1, (0, 1): 1, (0, 0): 1}, 2),
+    "K0^+": StateFormula({(1, 0): 2, (0, 0): 1}, 4),
+    "K0^-": StateFormula({(0, 1): 2, (0, 0): 1}, 4),
 }
 
 _NUMBERS = {"N": "N", "N_1": "N1", "N_-1": "Nm1"}
@@ -97,43 +170,45 @@ def _token_re(family: str) -> re.Pattern:
     )
 
 
-def _combine(op, a, b):
-    """``(fn, value)`` of ``op`` applied to two ``(fn, value)`` pairs,
-    with constants folded so that each state pays one operation."""
-    (f, x), (g, y) = a, b
-    if x is not None and y is not None:
-        v = op(x, y)
-        return (lambda st: v), v
-    if y is not None:
-        return (lambda st: op(f(st), y)), None
-    if x is not None:
-        return (lambda st: op(x, g(st))), None
-    return (lambda st: op(f(st), g(st))), None
-
-
-def _number(node):
-    """A tree of numbers and state labels as ``(fn, value)``: ``fn(st)`` is
-    its value on a basis state, and ``value`` its value when it uses no
-    state label (else None).  None for a tree with any other part."""
+def _state(node) -> StateFormula | None:
+    """A tree of numbers and state labels compiled into one formula; None
+    for a tree with any other part, or divided by anything but a nonzero
+    number."""
     tag = node[0]
     if tag == "num":
-        return (lambda st: node[1]), node[1]
+        return StateFormula({(0, 0): node[1]})
     if tag == "label":
-        return (STATE[node[1]], None) if node[1] in STATE else None
-    if tag not in ("sum", "prod"):
-        return None
+        return STATE.get(node[1])
     if tag == "sum":
-        steps = [(operator.add if s == "+" else operator.sub, t) for s, t in node[1]]
-        acc = _number(("num", 0)) if node[1][0][0] == "-" else None
-    else:
-        steps = [(operator.mul, f) for f in node[1]] + [(Q, d) for d in node[2]]
-        acc = None
-    for op, t in steps:
-        kid = _number(t)
-        if kid is None:
+        acc = StateFormula({})
+        for sign, t in node[1]:
+            f = _state(t)
+            if f is None:
+                return None
+            acc = acc + f if sign == "+" else acc - f
+        return acc
+    if tag != "prod":
+        return None
+    acc = StateFormula({(0, 0): 1})
+    for t in node[1]:
+        f = _state(t)
+        if f is None:
             return None
-        acc = kid if acc is None else _combine(op, acc, kid)
+        acc = acc * f
+    for t in node[2]:
+        f = _state(t)
+        r = None if f is None else f.constant
+        if not r:
+            return None
+        r = Q(r)
+        acc = acc * StateFormula({(0, 0): r.denominator}, r.numerator)
     return acc
+
+
+def _constant(node):
+    """The value of a tree of numbers alone; None for any other tree."""
+    f = _state(node)
+    return None if f is None else f.constant
 
 
 class _Parser:
@@ -235,7 +310,7 @@ class _Parser:
         if self.accept("_"):
             self.expect("{")
             r = self.closed("}")
-            rho = _number(r[1])[1] if r[0] == "q" and _number(r[1]) else None
+            rho = _constant(r[1]) if r[0] == "q" else None
             if rho is None:
                 self.fail("expected a constant q-power subscript", self.peek())
         return ("comm", a, b, rho)
@@ -249,10 +324,10 @@ class _Parser:
     # -- compiling ------------------------------------------------------
 
     def compile_side(self, node):
-        number = _number(node)
-        if number is None:
+        f = _state(node)
+        if f is None:
             return self.compile_op(node)
-        return lambda ctx: ctx.diag_frac(number[0])
+        return lambda ctx: ctx.diag_frac(f)
 
     def compile_op(self, node):
         if node[0] != "sum":
@@ -270,11 +345,11 @@ class _Parser:
     def scalars(self, node):
         """The scalar calls ``[(method, args), ...]`` a factor stands for,
         or None when it is an operator."""
-        tag, number = node[0], _number(node)
-        if number is not None and number[1] is not None:
-            return [("frac", (number[1],))]
+        tag, value = node[0], _constant(node)
+        if value is not None:
+            return [("frac", (value,))]
         if tag in ("q", "brk"):
-            value = (_number(node[1]) or (None, None))[1]
+            value = _constant(node[1])
             if tag == "q" and value is not None:
                 return [("qpow", (value,))]
             return [("brk", (value, node[2]))] if type(value) is int else None
@@ -298,10 +373,14 @@ class _Parser:
             a, b, rho = self.compile_op(node[1]), self.compile_op(node[2]), node[3]
             return lambda ctx: ctx.comm(a(ctx), b(ctx), rho)
         if tag in ("brk", "q"):
-            fn = (_number(node[1]) or self.fail("bracket or q-power of an operator"))[0]
+            f = _state(node[1]) or self.fail("bracket or q-power of an operator")
+            if f.degree > 1:
+                what = "q-power exponent" if tag == "q" else "bracket argument"
+                raise ValueError(f"{self.what}: {what} of degree {f.degree} in (n1, n-1);"
+                                 " it must be affine")
             if tag == "q":
-                return lambda ctx: ctx.diag_pow(fn)
-            return lambda ctx: ctx.diag_brk(fn, node[2])
+                return lambda ctx: ctx.diag_pow(f)
+            return lambda ctx: ctx.diag_brk(f, node[2])
         return self.compile_op(node)
 
     def product(self, node):
@@ -365,3 +444,12 @@ def formula_builder(name: str, family: str, text: str) -> Callable:
     if p.peek() is not None:
         p.fail("trailing token", p.peek())
     return p.compile_side(node)
+
+
+def state_formula(text: str) -> StateFormula:
+    """Compile one expression of numbers and state labels (``N + 1``)."""
+    p = _Parser(f"state formula {text!r}", "classical", text)
+    node = p.side()
+    if p.peek() is not None:
+        p.fail("trailing token", p.peek())
+    return _state(node) or p.fail("not a state formula")

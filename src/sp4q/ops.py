@@ -55,6 +55,20 @@ matters: ``LaurentPoly.__call__`` sums floats in it, so the numeric
 residuals and ``eval`` output depend on it.  Keeping cancelled zeros and
 trimming once at the end would move a coefficient that cancels and then
 reappears, and change those floats.
+
+Diagonals: an operator whose store keys are all (i, i) is diagonal,
+whatever its declared bounds (J_+ has nu_raise = nu_lower = 0 and is
+not).  A product with a diagonal factor scales rows or columns instead
+of running the general loop: ``diag @ X`` makes one ring product per
+entry of X, in X's key order, and ``X @ diag`` walks X's columns in the
+diagonal's key order.  No output entry gets two products there, so
+these are the general loop's entries, key order and coefficient order
+included; ``NumOp`` takes the same paths, with the loop's first sum
+``0.0 + a*b`` kept so that signed zeros agree.  A one-entry ``ket`` is
+diagonal, so the first product of :func:`act` is a column scaling.  The
+diagonals themselves are built from compiled state formulas
+(:class:`sp4q.notation.StateFormula`) in integer arithmetic and are not
+kept: rebuilding one costs less than holding it.
 """
 
 from __future__ import annotations
@@ -224,20 +238,6 @@ class QOperator:
             climb=max(nu_raise, 0),
         )
 
-    @classmethod
-    def diagonal(
-        cls,
-        space: FockSpace,
-        value: Callable[[FockState], LaurentPoly],
-        den: LaurentPoly = ONE,
-    ) -> "QOperator":
-        entries = {}
-        for i, st in enumerate(space.states):
-            poly = value(st)
-            if not poly.is_zero:
-                entries[(i, i)] = poly
-        return cls(space, entries, den=den)
-
     # -- linear structure --------------------------------------------------
 
     @property
@@ -339,26 +339,44 @@ class QOperator:
         """self after other (matrix product); the divisors multiply."""
         if self.space != other.space:
             raise ValueError("operators live on different spaces")
-        by_src: dict[int, list[tuple[int, LaurentPoly]]] = {}
-        for (d, s), poly in self.store.items():
-            by_src.setdefault(s, []).append((d, poly))
-        # One owned coefficient dict per output entry, wrapped in place at
-        # the end; see the module docstring for why products are merged
-        # in place, in order.
+        a, b = self.store, other.store
         entries: dict = {}
-        for (mid, src), bpoly in other.store.items():
-            for dst, apoly in by_src.get(mid, ()):
-                key = (dst, src)
-                prod = (apoly * bpoly).c
-                c = entries.get(key)
-                if c is None:
-                    entries[key] = dict(prod)
-                    continue
-                add_terms(c, prod)
-                if not c:
-                    del entries[key]
-        for key, c in entries.items():
-            entries[key] = LaurentPoly._of(c)
+        if _is_diagonal(a):
+            # rows scaled: one product per entry of other, in its key order
+            for key, bpoly in b.items():
+                apoly = a.get((key[0], key[0]))
+                if apoly is not None:
+                    entries[key] = apoly * bpoly
+        elif _is_diagonal(b):
+            # columns scaled: self's columns in other's key order
+            cols: dict[int, list] = {s: [] for s, _ in b}
+            for (d, s), apoly in a.items():
+                col = cols.get(s)
+                if col is not None:
+                    col.append((d, apoly))
+            for (s, _), bpoly in b.items():
+                for d, apoly in cols[s]:
+                    entries[(d, s)] = apoly * bpoly
+        else:
+            # One owned coefficient dict per output entry, wrapped in place
+            # at the end; see the module docstring for why products are
+            # merged in place, in order.
+            by_src: dict[int, list[tuple[int, LaurentPoly]]] = {}
+            for (d, s), poly in a.items():
+                by_src.setdefault(s, []).append((d, poly))
+            for (mid, src), bpoly in b.items():
+                for dst, apoly in by_src.get(mid, ()):
+                    key = (dst, src)
+                    prod = (apoly * bpoly).c
+                    c = entries.get(key)
+                    if c is None:
+                        entries[key] = dict(prod)
+                        continue
+                    add_terms(c, prod)
+                    if not c:
+                        del entries[key]
+            for key, c in entries.items():
+                entries[key] = LaurentPoly._of(c)
         k = self.k * other.k
         flag: LaurentPoly | None
         if self.sqrt_sq is None:
@@ -398,6 +416,14 @@ class QOperator:
     def entry(self, dst: FockState, src: FockState) -> LaurentPoly:
         poly = self.store.get((self.space.index(dst), self.space.index(src)))
         return LaurentPoly.zero() if poly is None else self._rational(poly)
+
+
+def _is_diagonal(store: dict) -> bool:
+    """Whether every key of the store is (i, i)."""
+    for d, s in store:
+        if d != s:
+            return False
+    return True
 
 
 def _fold(entries: dict) -> tuple[dict, int]:
@@ -590,7 +616,7 @@ class NumOp:
 
     def _sum_with(self, other: "NumOp", entries) -> "NumOp":
         """The sum or difference of self and other with these entries."""
-        return NumOp(
+        return type(self)(
             self.space,
             self.q,
             entries,
@@ -600,7 +626,7 @@ class NumOp:
         )
 
     def scale(self, factor: float) -> "NumOp":
-        return NumOp(
+        return type(self)(
             self.space,
             self.q,
             {k: v * factor for k, v in self.entries.items()},
@@ -610,15 +636,33 @@ class NumOp:
         )
 
     def __matmul__(self, other: "NumOp") -> "NumOp":
-        by_src: dict[int, list[tuple[int, float]]] = {}
-        for (d, s), v in self.entries.items():
-            by_src.setdefault(s, []).append((d, v))
+        # The paths of QOperator.__matmul__; 0.0 + a*b is the general
+        # loop's first sum, signed zeros included.
+        a, b = self.entries, other.entries
         entries: dict[tuple[int, int], float] = {}
-        for (mid, src), bv in other.entries.items():
-            for dst, av in by_src.get(mid, ()):
-                key = (dst, src)
-                entries[key] = entries.get(key, 0.0) + av * bv
-        return NumOp(
+        if _is_diagonal(a):
+            for key, bv in b.items():
+                av = a.get((key[0], key[0]))
+                if av is not None:
+                    entries[key] = 0.0 + av * bv
+        elif _is_diagonal(b):
+            cols: dict[int, list] = {s: [] for s, _ in b}
+            for (d, s), av in a.items():
+                col = cols.get(s)
+                if col is not None:
+                    col.append((d, av))
+            for (s, _), bv in b.items():
+                for d, av in cols[s]:
+                    entries[(d, s)] = 0.0 + av * bv
+        else:
+            by_src: dict[int, list[tuple[int, float]]] = {}
+            for (d, s), v in a.items():
+                by_src.setdefault(s, []).append((d, v))
+            for (mid, src), bv in b.items():
+                for dst, av in by_src.get(mid, ()):
+                    key = (dst, src)
+                    entries[key] = entries.get(key, 0.0) + av * bv
+        return type(self)(
             self.space,
             self.q,
             entries,
@@ -647,6 +691,31 @@ class NumOp:
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)
+
+
+class NumMagnitude(NumOp):
+    """A NumOp that holds magnitudes: negation is the identity,
+    subtraction adds and ``scale`` uses |factor|.  An expression built
+    from the |entries| of its operands thus gives, entry by entry, the
+    sum of the magnitudes of the terms that the signed expression adds,
+    which bounds that expression's rounding error (a running error
+    bound; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3)."""
+
+    def __neg__(self) -> "NumMagnitude":
+        return self
+
+    def __sub__(self, other: "NumOp") -> "NumMagnitude":
+        return self + other
+
+    def scale(self, factor: float) -> "NumMagnitude":
+        return NumOp.scale(self, abs(factor))
+
+
+def magnitude(op: NumOp) -> NumMagnitude:
+    """|op|, entry by entry."""
+    return NumMagnitude(op.space, op.q, {k: abs(v) for k, v in op.entries.items()},
+                        nu_raise=op.nu_raise, nu_lower=op.nu_lower, climb=op.climb)
 
 
 def basis_norms(

@@ -30,9 +30,11 @@ from sp4q.algebras import (
     resolve_casimirs,
 )
 from sp4q.fock import FockSpace, FockState
+from sp4q.notation import StateFormula
 from sp4q.ops import (
-    NumOp, QOperator, SafeSubspace, act, diagonal_spectrum, first_witness, to_numeric)
-from sp4q.qnum import ONE, QRationalFn, q_int, q_power
+    NumOp, QOperator, SafeSubspace, _split, _times, act, diagonal_spectrum, first_witness,
+    to_numeric)
+from sp4q.qnum import ONE, LaurentPoly, QRationalFn, add_terms, q_int, q_power
 from sp4q.verify import check_relation
 
 
@@ -456,3 +458,107 @@ def test_a_word_on_a_ket_is_the_column_of_its_product(data):
     assert set(got) == set(want)
     for d, v in want.items():
         assert abs(got[d] - v) <= 1e-12 * abs(v), (word, state, d)
+
+
+# -- diagonals: the scaling paths of @ against the general loop -----------------
+
+
+def _general_matmul(a, b):
+    """a @ b by the general index-and-accumulate loop, kept here as the
+    reference of the diagonal paths of QOperator.__matmul__."""
+    by_src = {}
+    for (d, s), poly in a.store.items():
+        by_src.setdefault(s, []).append((d, poly))
+    entries = {}
+    for (mid, src), bpoly in b.store.items():
+        for dst, apoly in by_src.get(mid, ()):
+            prod = (apoly * bpoly).c
+            c = entries.get((dst, src))
+            if c is None:
+                entries[(dst, src)] = dict(prod)
+                continue
+            add_terms(c, prod)
+            if not c:
+                del entries[(dst, src)]
+    entries = {key: LaurentPoly._of(c) for key, c in entries.items()}
+    k, flag = a.k * b.k, a.sqrt_sq if b.sqrt_sq is None else b.sqrt_sq
+    if a.sqrt_sq is not None and b.sqrt_sq is not None:
+        base, d = _split(a.sqrt_sq)
+        entries, k, flag = _times(entries, base), k * d, None
+    return QOperator._of(a.space, entries, k, a.den * b.den, flag,
+                         a.nu_raise + b.nu_raise, a.nu_lower + b.nu_lower,
+                         max(b.climb, b.nu_raise + a.climb))
+
+
+def _general_num_matmul(a, b):
+    by_src = {}
+    for (d, s), v in a.entries.items():
+        by_src.setdefault(s, []).append((d, v))
+    entries = {}
+    for (mid, src), bv in b.entries.items():
+        for dst, av in by_src.get(mid, ()):
+            entries[(dst, src)] = entries.get((dst, src), 0.0) + av * bv
+    return NumOp(a.space, a.q, entries, a.nu_raise + b.nu_raise, a.nu_lower + b.nu_lower,
+                 max(b.climb, b.nu_raise + a.climb))
+
+
+def _exact_layout(op):
+    return (list(op.store), [list(p.c.items()) for p in op.store.values()], op.k,
+            list(op.den.c.items()), op.sqrt_sq, op.nu_raise, op.nu_lower, op.climb)
+
+
+def _float_layout(op):
+    # hex tells -0.0 from 0.0, so equal layouts are bitwise-equal floats
+    return ([(key, v.hex()) for key, v in op.entries.items()], op.nu_raise, op.nu_lower,
+            op.climb)
+
+
+_affine = st.builds(lambda a, b, c, d: StateFormula({(1, 0): a, (0, 1): b, (0, 0): c}, d),
+                    st.integers(-3, 3), st.integers(-3, 3), st.integers(-4, 4),
+                    st.sampled_from((1, 2, 4)))
+_quadratic = st.builds(lambda f, e: f * StateFormula({(1, 0): 1, (0, 0): e}),
+                       _affine, st.integers(-2, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_diagonal_products_match_the_general_loop(data):
+    # a random bracket, q-power or rational diagonal times a generator, a
+    # product of two, a ket or another diagonal, on either side: the
+    # scaling paths give the general loop's store, key order, term order,
+    # divisor, den, flag, bounds and climb, and bitwise its floats
+    family = data.draw(st.sampled_from(FAMILIES))
+    gens = build(family, FockSpace(data.draw(st.integers(4, 10))))
+    ctx, nctx = exact_context(gens), numeric_context(gens, data.draw(st.sampled_from((0.7, 1.3))))
+
+    def spec():
+        kind = data.draw(st.sampled_from(("diag_brk", "diag_pow", "diag_frac")))
+        f = data.draw(st.one_of(_affine, _quadratic) if kind == "diag_frac" else _affine)
+        args = (data.draw(st.integers(1, 2)),) if kind == "diag_brk" else ()
+        return lambda c: getattr(c, kind)(f, *args)
+
+    diagonal = spec()
+    other = data.draw(st.sampled_from(("word", "sum", "ket", "diagonal")))
+    names = data.draw(st.lists(st.sampled_from(gens.elements), min_size=0, max_size=2))
+    if other == "sum":
+        # a sum's store is not sorted by source, nor one of diagonals by index
+        names = data.draw(st.lists(st.sampled_from(gens.elements), min_size=2, max_size=2))
+    state = data.draw(st.sampled_from(gens.space.states))
+    second = spec()
+    for c, general, layout in ((ctx, _general_matmul, _exact_layout),
+                               (nctx, _general_num_matmul, _float_layout)):
+        if other == "ket":
+            x = (QOperator.ket(gens.space, state) if c is ctx
+                 else NumOp.ket(gens.space, nctx.q, state))
+        elif other == "diagonal":
+            x = second(c)
+        elif other == "sum":
+            a, b = c[names[0]], c[names[1]]
+            x = a @ b + (b @ a).scale(2)
+        else:
+            x = c.ident()
+            for name in names:
+                x = x @ c[name]
+        d = diagonal(c) + second(c) if other == "sum" else diagonal(c)
+        for a, b in ((d, x), (x, d)):
+            assert layout(a @ b) == layout(general(a, b)), (names, other)

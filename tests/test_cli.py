@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import sp4q.algebras
 from sp4q.cli import CliConfig, build_parser, main
 
 
@@ -231,6 +232,16 @@ def test_eval_at_q_one(capsys):
     )
     assert rc == 0
     assert out.startswith("Jp |0,1> = 1.0 |1,0>")
+
+
+def test_non_affine_catalog_formula_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sp4q.algebras, "_CATALOG_CACHE", {})
+    monkeypatch.setitem(sp4q.algebras._CATALOG_ROWS, "qboson",
+                        lambda: [("squared weight", "[J_0, J_+] = [J_0 J_0] J_+")])
+    rc, out, err = run_cli(capsys, "verify", "--family", "qboson", "--cutoff", "8")
+    assert rc == 2
+    assert "'squared weight': bracket argument of degree 2" in err
+    assert "Traceback" not in err
 
 
 def test_verify_at_q_one_is_a_usage_error(capsys):

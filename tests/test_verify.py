@@ -91,12 +91,14 @@ def test_check_relation_mutation_fails_with_witness(gens):
 # -- the numeric flip partner ----------------------------------------------------
 
 
-def _counted(rel):
-    """``rel`` with a builder that records the flip of every call."""
+def _counted(rel, kind="numeric"):
+    """``rel`` with a builder that records the flip of every call in a
+    context of this kind."""
     flips = []
 
     def builder(ctx, flip=False):
-        flips.append(flip)
+        if ctx.kind == kind:
+            flips.append(flip)
         return rel.builder(ctx, flip)
 
     return dataclasses.replace(rel, builder=builder), flips
@@ -121,6 +123,30 @@ def test_numeric_variant_fails_by_the_partner_bound():
     assert flips == [False, True]
     assert (r.verdict, r.witness, r.residual) == (
         "Fails", "|8,0> -> |8,0>", "2.776056e+02 > tol 1.893702e-08")
+
+
+def test_magnitude_is_built_only_past_the_partner_bound():
+    gens = build("qboson", FockSpace(8))
+    rel, flips = _counted(find_relation("qboson", "J-commutator"), "magnitude")
+    assert check_relation(rel, 8, "numeric", q=0.7, gens=gens).holds
+    assert flips == []
+    assert not check_relation(rel, 8, "numeric", q=0.7, gens=gens, mutate=True).holds
+    assert flips == [True]
+
+
+CHAINS = ("suq+ casimir chain lower-raise", "suq+ casimir chain raise-lower",
+          "suq- casimir chain lower-raise", "suq- casimir chain raise-lower")
+
+
+@pytest.mark.parametrize("q", (0.5, 2.0))
+def test_cancelling_chains_hold_numerically_far_from_q_one(q):
+    # Their bracket terms grow like q^(-+2n) and cancel: at cutoff 12 the
+    # residual exceeds the flip partner's bound but stays within tol*|terms|.
+    gens = build("qboson", FockSpace(12))
+    for name in CHAINS:
+        assert check_relation(("qboson", name), 12, "numeric", q=q, gens=gens).holds, name
+        bad = check_relation(("qboson", name), 12, "numeric", q=q, gens=gens, mutate=True)
+        assert bad.verdict == "Fails" and "> tol" in bad.residual, name
 
 
 @pytest.mark.parametrize("cutoff", (8, 12))
@@ -221,12 +247,6 @@ def test_check_relation_exact_holds_at_cutoff_20():
     assert r.verdict == "Holds"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the numeric bound tol*(1 + 0.5*max|flip partner|)"
-    " does not grow with the cancelling [k]_2 terms, so rounding error"
-    " exceeds it at cutoff 20 (a false Fails at |18,0>)",
-)
 def test_check_relation_numeric_holds_at_cutoff_20():
     r = check_relation(
         ("qboson", "suq+ casimir chain lower-raise"), 20, mode="numeric", q=0.7
