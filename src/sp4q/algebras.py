@@ -23,7 +23,9 @@ whose builder produces the residual operator (zero iff the identity
 holds) in any of three scalar contexts: exact deformed, exact classical
 limit (q = 1), or floating point at fixed q; the magnitude context
 rebuilds a numeric residual from the magnitudes of its terms, the scale
-of its rounding error.  Builders take a ``flip``
+of its rounding error; the point context builds an exact or classical
+residual at s = 2^24, where a provably zero image proves the relation,
+and the shape context its bounds alone.  Builders take a ``flip``
 switch that negates one term, used by the mutation self-test.  Each
 builder is parsed from the relation's anchor, the formula its reports
 print, by :mod:`sp4q.notation` on the family's first
@@ -57,7 +59,8 @@ from typing import Callable, Mapping
 from .fock import FockSpace, FockState
 from .notation import STATE, StateFormula, formula_builder, relation_builder
 from .ops import (
-    NumMagnitude, NumOp, QOperator, basis_norms, classical_gram, gram, magnitude, to_numeric)
+    NumMagnitude, NumOp, PointOp, QOperator, basis_norms, classical_gram, gram, magnitude,
+    to_numeric)
 from .qnum import NEAR_ONE, LaurentPoly, ONE, Q, q_int, q_power
 
 FAMILIES = ("classical", "qboson", "tensor")
@@ -649,6 +652,59 @@ class MagnitudeContext(NumericContext):
         return NumMagnitude.identity(self.space, self.q)
 
 
+class PointContext:
+    """An exact or classical context at s = 2^B: operators are the
+    PointOp images of the wrapped context's, each generator packed on its
+    first read and dropped with this context.  Scalars and diagonals take
+    the wrapped context's semantics."""
+
+    kind = "point"
+
+    def __init__(self, ctx: ExactContext):
+        self._ctx, self.gens, self.space = ctx, ctx.gens, ctx.space
+        self._packed: dict[str, PointOp] = {}
+
+    def __getitem__(self, name: str) -> PointOp:
+        op = self._packed.get(name)
+        if op is None:
+            op = self._packed[name] = PointOp.of(self._ctx[name])
+        return op
+
+    def __getattr__(self, name: str):
+        # comm, qpow, brk, over_brk, frac and sqrt2 only call scale, over,
+        # times_sqrt, @, + and - on their operands, which PointOp has
+        return getattr(self._ctx, name)
+
+    def diag_brk(self, f: StateFormula, m: int = 1):
+        return PointOp.of(self._ctx.diag_brk(f, m))
+
+    def diag_pow(self, f: StateFormula):
+        return PointOp.of(self._ctx.diag_pow(f))
+
+    def diag_frac(self, f: StateFormula):
+        return PointOp.of(self._ctx.diag_frac(f))
+
+    def ident(self):
+        return PointOp.of(self._ctx.ident())
+
+
+class ShapeContext(ExactContext):
+    """Exact semantics on the bounds alone: every operator has an empty
+    store, so a relation built here composes no entry, and its residual
+    carries the bounds QOperator's own rules give the exact one."""
+
+    kind = "shape"
+
+    def __getitem__(self, name: str) -> QOperator:
+        op = self._table[name]
+        return QOperator._of(self.space, {}, 1, ONE, None, op.nu_raise, op.nu_lower, op.climb)
+
+    def _empty(self, *args) -> QOperator:
+        return QOperator.zero(self.space)
+
+    diag_brk = diag_pow = diag_frac = ident = _empty
+
+
 def exact_context(gens: GeneratorSet) -> ExactContext:
     return ExactContext(gens)
 
@@ -1126,25 +1182,25 @@ def find_relation(family: str, name: str) -> Relation:
     raise KeyError(f"no relation named {name!r} in family {family!r}")
 
 
-_REACH_CUTOFF = 6
 _REACH_CACHE: dict[tuple[str, str], int] = {}
 
 
 def relation_reach(rel: Relation) -> int:
     """Maximal total nu-raise of any term of the relation's residual;
     checks on a cutoff-Lambda space are conclusive for nu <= Lambda - reach.
-    Computed once per relation, on the family's set at a small cutoff."""
+    Read from the residual's bounds in a ShapeContext, which only reads
+    the generators' declared bounds.  The first call for a family does
+    every relation of its catalog, on one set at the smallest cutoff."""
     key = (rel.family, rel.name)
     if key not in _REACH_CACHE:
-        res = rel.builder(ExactContext(build(rel.family, FockSpace(_REACH_CUTOFF))))
-        _REACH_CACHE[key] = max(res.climb, 0)
+        ctx = ShapeContext(build(rel.family, FockSpace(MIN_CUTOFF)))
+        for r in (*relation_catalog(rel.family), rel):
+            _REACH_CACHE[(r.family, r.name)] = max(r.builder(ctx).climb, 0)
     return _REACH_CACHE[key]
 
 
 def catalog_manifest(family: str) -> list[dict]:
     """JSON-ready description of the family's catalog."""
-    # held to the end, so that every relation_reach call below shares it
-    held = build(family, FockSpace(_REACH_CUTOFF))  # noqa: F841
     out = []
     for rel in relation_catalog(family):
         row = {

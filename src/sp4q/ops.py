@@ -69,6 +69,22 @@ diagonal, so the first product of :func:`act` is a column scaling.  The
 diagonals themselves are built from compiled state formulas
 (:class:`sp4q.notation.StateFormula`) in integer arithmetic and are not
 kept: rebuilding one costs less than holding it.
+
+Point decision: :class:`PointOp` maps an operator's integer store to
+s = 2^B (B = 24), Kronecker substitution (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, 8.4).  An entry sum_k c_k s^k becomes
+(e0, V, L): V = sum_k c_k 2^(B(k - e0)) is one Python int, e0 the lowest
+exponent and L a bound on sum_k |c_k|; a product multiplies V and L and
+adds e0, a sum shifts the higher V onto the lower e0 and adds L.  The map
+is a ring homomorphism, so a zero entry has V = 0.  Conversely, if V = 0
+and L < 2^(B-1), every |c_k| < 2^(B-1), and the lowest nonzero c_j would
+leave V = 2^(B(j - e0)) (c_j + 2^B R) != 0: the entry is zero.  The
+largest L of a catalogue residual at cutoff 24, flipped or not, is
+58,752 (16 bits).  So a relation whose residual image keeps no entry on its window holds
+exactly.  A nonzero V proves an entry nonzero, but a Fails prints it as
+a Laurent polynomial, and V = 0 with a larger L proves nothing: either
+way the check rebuilds its residual exactly, which gives the verdict,
+the witness and the residual text.
 """
 
 from __future__ import annotations
@@ -91,6 +107,18 @@ from .qnum import (
 )
 
 Rule = Callable[[FockState], "tuple[FockState, LaurentPoly] | None"]
+
+
+def _times(entries: dict, factor: LaurentPoly) -> dict:
+    """Every entry times an integral factor; the same dict when factor is
+    1.  A constant multiplies the coefficients in place of a ring product,
+    with the same result and key order."""
+    if factor.is_one:
+        return entries
+    c = factor.c
+    if len(c) == 1 and 0 in c:
+        return {key: _scaled(poly, c[0]) for key, poly in entries.items()}
+    return {key: poly * factor for key, poly in entries.items()}
 
 
 @dataclass(frozen=True)
@@ -118,6 +146,8 @@ class QOperator:
 
     __slots__ = ("space", "store", "k", "den", "sqrt_sq", "nu_raise", "nu_lower",
                  "climb", "_entries")
+
+    _times = staticmethod(_times)
 
     def __init__(
         self,
@@ -158,9 +188,9 @@ class QOperator:
                 )
 
     def _like(self, store, k, den, sqrt_sq) -> "QOperator":
-        """An operator with this one's space and bounds."""
-        return QOperator._of(self.space, store, k, den, sqrt_sq,
-                             self.nu_raise, self.nu_lower, self.climb)
+        """An operator of this one's class, space and bounds."""
+        return self._of(self.space, store, k, den, sqrt_sq,
+                        self.nu_raise, self.nu_lower, self.climb)
 
     @property
     def entries(self) -> dict[tuple[int, int], LaurentPoly]:
@@ -274,8 +304,18 @@ class QOperator:
             times_theirs, d_theirs = _split(self.den)
             k_mine, k_theirs = self.k * d_mine, other.k * d_theirs
         k = math.lcm(k_mine, k_theirs)
-        entries = dict(_times(self.store, _scaled(times_mine, k // k_mine)))
-        for key, poly in _times(other.store, _scaled(times_theirs, k // k_theirs)).items():
+        entries = self._merge(self._times(self.store, _scaled(times_mine, k // k_mine)),
+                              self._times(other.store, _scaled(times_theirs, k // k_theirs)),
+                              sign)
+        return self._of(self.space, entries, k, den, flag, max(self.nu_raise, other.nu_raise),
+                        max(self.nu_lower, other.nu_lower), max(self.climb, other.climb))
+
+    @staticmethod
+    def _merge(mine: dict, theirs: dict, sign: int) -> dict:
+        """A copy of mine plus sign * theirs, entry by entry; an entry
+        that cancels is deleted."""
+        entries = dict(mine)
+        for key, poly in theirs.items():
             acc = entries.get(key)
             if acc is None:
                 entries[key] = poly if sign > 0 else -poly
@@ -286,16 +326,7 @@ class QOperator:
                 entries[key] = LaurentPoly._of(c)
             else:
                 del entries[key]
-        return QOperator._of(
-            self.space,
-            entries,
-            k,
-            den,
-            flag,
-            max(self.nu_raise, other.nu_raise),
-            max(self.nu_lower, other.nu_lower),
-            max(self.climb, other.climb),
-        )
+        return entries
 
     def __add__(self, other: "QOperator") -> "QOperator":
         return self._plus(other, 1)
@@ -314,11 +345,11 @@ class QOperator:
         if isinstance(factor, (int, Fraction)):
             factor = LaurentPoly.const(factor)
         if factor.is_zero:
-            return QOperator.zero(self.space)
+            return self.zero(self.space)
         if factor.is_one:
             return self
         poly, d = _split(factor)
-        return self._like(_times(self.store, poly), self.k * d, self.den, self.sqrt_sq)
+        return self._like(self._times(self.store, poly), self.k * d, self.den, self.sqrt_sq)
 
     def over(self, den: LaurentPoly) -> "QOperator":
         """Divide by an exact Laurent-polynomial scalar."""
@@ -331,7 +362,7 @@ class QOperator:
         if self.sqrt_sq != base:
             raise ValueError("mixed sqrt bases are not supported")
         poly, d = _split(base)
-        return self._like(_times(self.store, poly), self.k * d, self.den, None)
+        return self._like(self._times(self.store, poly), self.k * d, self.den, None)
 
     # -- composition --------------------------------------------------------
 
@@ -349,11 +380,7 @@ class QOperator:
                     entries[key] = apoly * bpoly
         elif _is_diagonal(b):
             # columns scaled: self's columns in other's key order
-            cols: dict[int, list] = {s: [] for s, _ in b}
-            for (d, s), apoly in a.items():
-                col = cols.get(s)
-                if col is not None:
-                    col.append((d, apoly))
+            cols = _columns(a, b)
             for (s, _), bpoly in b.items():
                 for d, apoly in cols[s]:
                     entries[(d, s)] = apoly * bpoly
@@ -361,11 +388,9 @@ class QOperator:
             # One owned coefficient dict per output entry, wrapped in place
             # at the end; see the module docstring for why products are
             # merged in place, in order.
-            by_src: dict[int, list[tuple[int, LaurentPoly]]] = {}
-            for (d, s), poly in a.items():
-                by_src.setdefault(s, []).append((d, poly))
+            cols = _columns(a, b)
             for (mid, src), bpoly in b.items():
-                for dst, apoly in by_src.get(mid, ()):
+                for dst, apoly in cols[mid]:
                     key = (dst, src)
                     prod = (apoly * bpoly).c
                     c = entries.get(key)
@@ -377,6 +402,12 @@ class QOperator:
                         del entries[key]
             for key, c in entries.items():
                 entries[key] = LaurentPoly._of(c)
+        return self._product(other, entries)
+
+    def _product(self, other: "QOperator", entries: dict) -> "QOperator":
+        """self @ other from its composed entries: the divisors and dens
+        multiply, two equal square-root flags collapse into the entries
+        and the bounds compose."""
         k = self.k * other.k
         flag: LaurentPoly | None
         if self.sqrt_sq is None:
@@ -387,19 +418,12 @@ class QOperator:
             if self.sqrt_sq != other.sqrt_sq:
                 raise ValueError("mixed sqrt bases are not supported")
             base, d = _split(self.sqrt_sq)
-            entries = _times(entries, base)
+            entries = self._times(entries, base)
             k *= d
             flag = None
-        return QOperator._of(
-            self.space,
-            entries,
-            k,
-            self.den * other.den,
-            flag,
-            self.nu_raise + other.nu_raise,
-            self.nu_lower + other.nu_lower,
-            max(other.climb, other.nu_raise + self.climb),
-        )
+        return self._of(self.space, entries, k, self.den * other.den, flag,
+                        self.nu_raise + other.nu_raise, self.nu_lower + other.nu_lower,
+                        max(other.climb, other.nu_raise + self.climb))
 
     # -- inspection ----------------------------------------------------------
 
@@ -416,6 +440,17 @@ class QOperator:
     def entry(self, dst: FockState, src: FockState) -> LaurentPoly:
         poly = self.store.get((self.space.index(dst), self.space.index(src)))
         return LaurentPoly.zero() if poly is None else self._rational(poly)
+
+
+def _columns(a: dict, b: dict) -> dict[int, list]:
+    """The entries (dst, value) of the store a by source, for the sources
+    that are rows of the store b only, each list in a's key order."""
+    cols: dict[int, list] = {mid: [] for mid, _ in b}
+    for (d, s), v in a.items():
+        col = cols.get(s)
+        if col is not None:
+            col.append((d, v))
+    return cols
 
 
 def _is_diagonal(store: dict) -> bool:
@@ -466,18 +501,6 @@ def _over(poly: LaurentPoly, k: int) -> LaurentPoly:
         quo, rem = divmod(v, k)
         c[e] = Fraction(v, k) if rem else quo
     return LaurentPoly._of(c)
-
-
-def _times(entries: dict, factor: LaurentPoly) -> dict:
-    """Every entry times an integral factor; the same dict when factor is
-    1.  A constant multiplies the coefficients in place of a ring product,
-    with the same result and key order."""
-    if factor.is_one:
-        return entries
-    c = factor.c
-    if len(c) == 1 and 0 in c:
-        return {key: _scaled(poly, c[0]) for key, poly in entries.items()}
-    return {key: poly * factor for key, poly in entries.items()}
 
 
 def act(word, ket):
@@ -646,20 +669,14 @@ class NumOp:
                 if av is not None:
                     entries[key] = 0.0 + av * bv
         elif _is_diagonal(b):
-            cols: dict[int, list] = {s: [] for s, _ in b}
-            for (d, s), av in a.items():
-                col = cols.get(s)
-                if col is not None:
-                    col.append((d, av))
+            cols = _columns(a, b)
             for (s, _), bv in b.items():
                 for d, av in cols[s]:
                     entries[(d, s)] = 0.0 + av * bv
         else:
-            by_src: dict[int, list[tuple[int, float]]] = {}
-            for (d, s), v in a.items():
-                by_src.setdefault(s, []).append((d, v))
+            cols = _columns(a, b)
             for (mid, src), bv in b.items():
-                for dst, av in by_src.get(mid, ()):
+                for dst, av in cols[mid]:
                     key = (dst, src)
                     entries[key] = entries.get(key, 0.0) + av * bv
         return type(self)(
@@ -716,6 +733,120 @@ def magnitude(op: NumOp) -> NumMagnitude:
     """|op|, entry by entry."""
     return NumMagnitude(op.space, op.q, {k: abs(v) for k, v in op.entries.items()},
                         nu_raise=op.nu_raise, nu_lower=op.nu_lower, climb=op.climb)
+
+
+# -- the point decision ------------------------------------------------------
+
+B = 24  # bits per coefficient: the image is taken at s = 2^B
+_MASK, _HALF = (1 << B) - 1, 1 << (B - 1)
+
+
+def pack(poly: LaurentPoly) -> tuple[int, int, int]:
+    """(e0, V, L) of an integral polynomial: its lowest exponent, its
+    value at s = 2^B over s^e0, and its l1 norm."""
+    c = poly.c
+    e0 = min(c)
+    return e0, sum(v << B * (e - e0) for e, v in c.items()), sum(map(abs, c.values()))
+
+
+def _padd(x: tuple, y: tuple) -> tuple[int, int, int]:
+    """The packed sum of two packed entries: the higher one shifted onto
+    the lower's exponent, then zero low digits stripped."""
+    (e, v, l), (f, w, m) = x, y
+    if e > f:
+        e, v, f, w = f, w, e, v
+    v += w << B * (f - e)
+    while v and not v & _MASK:
+        v >>= B
+        e += 1
+    return e, v, l + m
+
+
+def _ptimes(store: dict, factor: LaurentPoly) -> dict:
+    """Every packed entry times an integral factor; the same dict when
+    factor is 1."""
+    if factor.is_one:
+        return store
+    f, w, m = pack(factor)
+    return {key: (e + f, v * w, l * m) for key, (e, v, l) in store.items()}
+
+
+class PointOp(QOperator):
+    """A QOperator's image at s = 2^B (see "Point decision" above):
+    ``store`` maps (dst, src) to a packed entry (e0, V, L), and an entry
+    with V = 0 and L < 2^(B-1) is provably zero and dropped, as QOperator
+    deletes a cancelled one.  ``k``, ``den``, the flag, the bounds, the
+    sums, ``scale``, ``over`` and ``times_sqrt`` are QOperator's own."""
+
+    __slots__ = ()
+
+    _times = staticmethod(_ptimes)
+
+    entries = property(lambda self: self.store)  # a packed entry keeps k apart
+
+    @classmethod
+    def of(cls, op: QOperator) -> "PointOp":
+        """The image of op: a one-term entry is packed in place, and a
+        longer one once per distinct value."""
+        store, seen = {}, {}
+        for key, poly in op.store.items():
+            c = poly.c
+            if len(c) == 1:
+                for e, v in c.items():
+                    store[key] = (e, v, abs(v))
+                continue
+            terms = tuple(c.items())
+            x = seen.get(terms)
+            store[key] = x if x is not None else seen.setdefault(terms, pack(poly))
+        return cls._of(op.space, store, op.k, op.den, op.sqrt_sq, op.nu_raise, op.nu_lower,
+                       op.climb)
+
+    def _set(self, space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb) -> None:
+        self.space, self.store, self.k, self.den = space, store, k, den
+        self.sqrt_sq, self.nu_raise, self.nu_lower, self.climb = (
+            sqrt_sq, nu_raise, nu_lower, climb)
+
+    @staticmethod
+    def _merge(mine: dict, theirs: dict, sign: int) -> dict:
+        entries = dict(mine)
+        for key, y in theirs.items():
+            if sign < 0:
+                y = (y[0], -y[1], y[2])
+            acc = entries.get(key)
+            if acc is None:
+                entries[key] = y
+            elif (y := _padd(acc, y))[1] or y[2] >= _HALF:
+                entries[key] = y
+            else:
+                del entries[key]
+        return entries
+
+    def __neg__(self) -> "PointOp":
+        return self._like({key: (e, -v, l) for key, (e, v, l) in self.store.items()},
+                          self.k, self.den, self.sqrt_sq)
+
+    def __matmul__(self, other: "PointOp") -> "PointOp":
+        if self.space != other.space:
+            raise ValueError("operators live on different spaces")
+        entries: dict = {}
+        cols = _columns(self.store, other.store)
+        for (mid, src), (f, w, m) in other.store.items():
+            for dst, (e, v, l) in cols[mid]:
+                key, x = (dst, src), (e + f, v * w, l * m)
+                acc = entries.get(key)
+                if acc is None:
+                    entries[key] = x
+                elif (x := _padd(acc, x))[1] or x[2] >= _HALF:
+                    entries[key] = x
+                else:
+                    del entries[key]
+        return self._product(other, entries)
+
+    def zero_on(self, sub: SafeSubspace) -> bool:
+        """Whether every entry sourced inside the safe subspace is
+        provably zero, that is, was dropped."""
+        nus = self.space.nus
+        return all(nus[s] > sub.max_nu for _, s in self.store)
 
 
 def basis_norms(

@@ -15,6 +15,8 @@ import sp4q.algebras
 from sp4q.algebras import (
     CASIMIR_NAMES,
     FAMILIES,
+    PointContext,
+    ShapeContext,
     build,
     canonical_relations,
     casimir,
@@ -30,10 +32,10 @@ from sp4q.algebras import (
     resolve_casimirs,
 )
 from sp4q.fock import FockSpace, FockState
-from sp4q.notation import StateFormula
+from sp4q.notation import STATE, StateFormula
 from sp4q.ops import (
-    NumOp, QOperator, SafeSubspace, _split, _times, act, diagonal_spectrum, first_witness,
-    to_numeric)
+    B, NumOp, QOperator, SafeSubspace, _split, _times, act, diagonal_spectrum, first_witness,
+    pack, to_numeric)
 from sp4q.qnum import ONE, LaurentPoly, QRationalFn, add_terms, q_int, q_power
 from sp4q.verify import check_relation
 
@@ -562,3 +564,106 @@ def test_diagonal_products_match_the_general_loop(data):
         d = diagonal(c) + second(c) if other == "sum" else diagonal(c)
         for a, b in ((d, x), (x, d)):
             assert layout(a @ b) == layout(general(a, b)), (names, other)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_on_a_column_match_the_full_index(data):
+    # the general loop indexes only the columns of the left factor that
+    # the right one's rows name: a word on a ket and a product of two
+    # generators give the store, key order, term order and bitwise floats
+    # of the loop that indexes the whole left factor
+    family = data.draw(st.sampled_from(FAMILIES))
+    gens = build(family, FockSpace(data.draw(st.integers(4, 10))))
+    nctx = numeric_context(gens, 0.7)
+    names = data.draw(st.lists(st.sampled_from(gens.elements), min_size=1, max_size=3))
+    state = data.draw(st.sampled_from(gens.space.states))
+    for c, x, general, layout in (
+            (gens, QOperator.ket(gens.space, state), _general_matmul, _exact_layout),
+            (nctx, NumOp.ket(gens.space, 0.7, state), _general_num_matmul, _float_layout)):
+        for y in (x, c[names[-1]]):
+            for name in names:
+                assert layout(c[name] @ y) == layout(general(c[name], y)), names
+                y = c[name] @ y
+
+
+# -- the point decision: the image at s = 2^B -----------------------------------
+
+_LABELS = ("N", "N_1", "N_-1", "J_0", "K0_0", "K0^+", "K0^-")
+
+
+def _expression(data, names, depth):
+    """A random operator expression ``fn(ctx)``: words, sums and
+    q-commutators of generators, bracket, q-power and rational diagonals,
+    and scalars."""
+    if depth == 0 or data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from(("gen", "gen", "gen", "diag_brk", "diag_pow",
+                                          "diag_frac", "ident")))
+        if kind == "gen":
+            name = data.draw(st.sampled_from(names))
+            return lambda ctx: ctx[name]
+        if kind == "ident":
+            return lambda ctx: ctx.ident()
+        f = STATE[data.draw(st.sampled_from(_LABELS))]
+        args = (data.draw(st.integers(1, 2)),) if kind == "diag_brk" else ()
+        return lambda ctx: getattr(ctx, kind)(f, *args)
+    a = _expression(data, names, depth - 1)
+    node = data.draw(st.sampled_from(("@", "+", "-", "comm", "brk", "over_brk", "qpow",
+                                      "frac", "sqrt2", "neg")))
+    if node == "neg":
+        return lambda ctx: -a(ctx)
+    if node in ("brk", "over_brk", "qpow", "frac"):
+        x = data.draw(st.sampled_from((0, 1, 2, -3) if node == "brk" else (1, 2, 3)
+                                      if node == "over_brk" else (Q(-1, 2), Q(3, 4), 1)))
+        args = (x, data.draw(st.integers(1, 2))) if node.endswith("brk") else (x,)
+        return lambda ctx: getattr(ctx, node)(a(ctx), *args)
+    if node == "sqrt2":
+        return lambda ctx: ctx.sqrt2(a(ctx))
+    b = _expression(data, names, depth - 1)
+    if node == "comm":
+        rho = data.draw(st.sampled_from((0, 1, Q(-1, 2), -2)))
+        return lambda ctx: ctx.comm(a(ctx), b(ctx), rho)
+    return {"@": lambda ctx: a(ctx) @ b(ctx), "+": lambda ctx: a(ctx) + b(ctx),
+            "-": lambda ctx: a(ctx) - b(ctx)}[node]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_point_image_is_the_packed_exact_result(data):
+    # an expression built in a PointContext is, entry by entry, the exact
+    # result packed: the same V at the same e0, L no smaller than the
+    # entry's l1 norm (and far below 2^(B-1) at these sizes), the same
+    # keys, divisor, den, flag and bounds; where the exact algebra
+    # refuses a sum of mixed flags, so does the image
+    family = data.draw(st.sampled_from(FAMILIES))
+    gens = build(family, FockSpace(data.draw(st.integers(4, 10))))
+    ctx = data.draw(st.sampled_from((exact_context, classical_limit_context)))(gens)
+    names = sorted(gens.ops)
+    expr = _expression(data, names, data.draw(st.integers(1, 4)))
+    try:
+        exact = expr(ctx)
+    except ValueError:
+        with pytest.raises(ValueError):
+            expr(PointContext(ctx))
+        return
+    point = expr(PointContext(ctx))
+    assert (point.k, point.den, point.sqrt_sq, point.nu_raise, point.nu_lower,
+            point.climb) == (exact.k, exact.den, exact.sqrt_sq, exact.nu_raise,
+                             exact.nu_lower, exact.climb)
+    assert point.store.keys() == exact.store.keys()
+    for key, poly in exact.store.items():
+        e0, v, bound = point.store[key]
+        assert (e0, v) == pack(poly)[:2]
+        assert sum(map(abs, poly.c.values())) <= bound < 1 << (B - 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shape_climb_is_the_exact_residual_climb(family):
+    gens = build(family, FockSpace(8))
+    shape, exact = ShapeContext(gens), exact_context(gens)
+    for rel in relation_catalog(family):
+        for flip in (False, True):
+            s, e = rel.builder(shape, flip), rel.builder(exact, flip)
+            assert not s.store
+            assert (s.nu_raise, s.nu_lower, s.climb) == (e.nu_raise, e.nu_lower, e.climb), (
+                rel.name, flip)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from sp4q.fock import FockSpace, FockState
 from sp4q.ops import (
+    B,
     NumOp,
+    PointOp,
     QOperator,
     SafeSubspace,
     basis_norms,
@@ -450,3 +452,23 @@ def test_numop_sub_is_bitwise_add_of_negation(x, y):
         assert _bits(got) == _bits(want)
         assert (got.nu_raise, got.nu_lower, got.climb) == (
             want.nu_raise, want.nu_lower, want.climb)
+
+
+def test_point_sums_drop_only_provably_zero_entries():
+    # V = 0 proves an entry zero only while its l1 bound L is below
+    # 2^(B-1); a cancelled sum with a larger bound keeps the entry
+    space = FockSpace(4)
+    half = 1 << (B - 1)
+
+    def point(entry):
+        return PointOp._of(space, {(0, 0): entry}, 1, ONE, None, 0, 0, 0)
+
+    small, big = point((2, 5, 5)), point((2, 5, half))
+    assert (small - small).store == {}
+    assert (big - small).store == {(0, 0): (2, 0, half + 5)}
+    assert not (small @ (small - small)).store
+    # the higher entry is shifted onto the lower exponent, and zero low
+    # digits are stripped again: s^2 (s - 1) + s^2 = s^3
+    lower, higher = point((2, -1 + (1 << B), 2)), point((2, 1, 1))
+    assert (lower + higher).store == {(0, 0): (3, 1, 3)}
+    assert (point((3, 1, 1)) + point((2, 1, 1))).store == {(0, 0): (2, 1 + (1 << B), 2)}

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 import sp4q.algebras
 import sp4q.verify
 from sp4q.algebras import (
-    CASIMIR_NAMES, FAMILIES, _BUILDERS, build, canonical_relations, find_relation,
-    relation_catalog)
+    CASIMIR_NAMES, FAMILIES, _BUILDERS, PointContext, build, canonical_relations,
+    classical_limit_context, exact_context, find_relation, relation_catalog)
 from sp4q.fock import FockSpace, FockState
+from sp4q.ops import B, first_witness
 from sp4q.qnum import QRationalFn, q_factorial, q_int, q_power
 from sp4q.verify import (
     BASIS_CHECKS,
@@ -86,6 +87,78 @@ def test_check_relation_mutation_fails_with_witness(gens):
     assert not r.holds
     assert r.witness is not None and "->" in r.witness
     assert r.residual
+
+
+# -- the point decision ------------------------------------------------------------
+
+
+def _stripped(report) -> str:
+    d = report.to_dict()
+    d.pop("wall_ms")
+    return json.dumps(d, sort_keys=True)
+
+
+def _exact_path_report(rel, ctx, flip):
+    """The report of an exact check decided on the exact residual alone."""
+    res = rel.builder(ctx, flip)
+    window = sp4q.verify._window(rel.name, ctx.space, res)
+    hit = first_witness(res, window)
+    bad = None if hit is None else (f"{hit[0]} -> {hit[1]}",
+                                    sp4q.verify.coefficient_text(res, hit[2]))
+    mode = "SquaredExact" if res.sqrt_sq is not None else "ExactMonomial"
+    return sp4q.verify._report(0.0, bad, rel.name, rel.family, rel.anchor, mode,
+                               ctx.space.cutoff, window.max_nu, expected=rel.expect_holds,
+                               note=rel.note)
+
+
+def _decisions_agree(rel, ctx, flip):
+    """Whether the residual's image at s = 2^B vanishes on its window
+    exactly when the exact residual does."""
+    point, res = rel.builder(PointContext(ctx), flip), rel.builder(ctx, flip)
+    window = sp4q.verify._window(rel.name, ctx.space, res)
+    return point.zero_on(window) == (first_witness(res, window) is None)
+
+
+@pytest.mark.parametrize("cutoff", (8, 12))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_point_decision_reports_equal_the_exact_path(family, cutoff):
+    gens = build(family, FockSpace(cutoff))
+    ctx = exact_context(gens)
+    for rel in relation_catalog(family):
+        for flip in (False, True):
+            got = check_relation(rel, cutoff, gens=gens, mutate=flip)
+            assert _stripped(got) == _stripped(_exact_path_report(rel, ctx, flip))
+            assert _decisions_agree(rel, ctx, flip), (rel.name, flip)
+
+
+@pytest.mark.parametrize("family", ("qboson", "tensor"))
+def test_classical_replay_point_decisions_agree(family):
+    ctx = classical_limit_context(build(family, FockSpace(8)))
+    for rel in canonical_relations(family):
+        for flip in (False, True):
+            assert _decisions_agree(rel, ctx, flip), (rel.name, flip)
+
+
+def test_an_undecided_point_entry_takes_the_exact_path():
+    # a window entry with V = 0 but L >= 2^(B-1) proves nothing: the
+    # check rebuilds the residual exactly, which holds here
+    rel = find_relation("qboson", "J-commutator")
+    built = []
+
+    def builder(ctx, flip=False):
+        res = rel.builder(ctx, flip)
+        built.append(ctx.kind)
+        if ctx.kind == "point":
+            res.store[(0, 0)] = (0, 0, 1 << (B - 1))
+        return res
+
+    r = check_relation(dataclasses.replace(rel, builder=builder), 8)
+    assert r.holds and built == ["point", "exact"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_check_all_at_cutoff_24_has_no_unexpected_result(family):
+    assert summarize(check_all(family, 24, qs=()))["unexpected"] == 0
 
 
 # -- the numeric flip partner ----------------------------------------------------
