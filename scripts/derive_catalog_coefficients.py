@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from sp4q.algebras import build, exact_context
 from sp4q.fock import FockSpace
 from sp4q.notation import STATE, state_formula
-from sp4q.ops import QOperator, SafeSubspace, act, is_zero_on
+from sp4q.ops import QOperator, SafeSubspace, act, first_witness
 from sp4q.qnum import LaurentPoly, QRationalFn, q_int, q_power
 
 CUTOFF = 10
@@ -146,7 +146,7 @@ def main():
             lhs = c.comm(L[s], T[m])
             t = m + s
             if abs(t) > 1:
-                verdict = "0" if is_zero_on(lhs, SafeSubspace(space, window)) else "NONZERO?"
+                verdict = "0" if first_witness(lhs, SafeSubspace(space, window)) is None else "NONZERO?"
                 print(f"  [L({s:+d}), T({m:+d})]            -> {verdict}")
                 continue
             shape = (T[t] @ qm2J0).times_sqrt(two)
@@ -158,7 +158,7 @@ def main():
             lhs = c.comm(L[s], Tt[m])
             t = m + s
             if abs(t) > 1:
-                verdict = "0" if is_zero_on(lhs, SafeSubspace(space, window)) else "NONZERO?"
+                verdict = "0" if first_witness(lhs, SafeSubspace(space, window)) is None else "NONZERO?"
                 print(f"  [L({s:+d}), ~T({m:+d})]           -> {verdict}")
                 continue
             shape = (Tt[t] @ qm2J0).times_sqrt(two)
@@ -190,7 +190,7 @@ def main():
         lhs = c.comm(T[m1], Tt[m2], 2 * (m2 - m1))
         tot = m1 + m2
         if tot == 0 or abs(tot) > 1:
-            verdict = "0" if is_zero_on(lhs, SafeSubspace(space, window)) else "NONZERO?"
+            verdict = "0" if first_witness(lhs, SafeSubspace(space, window)) is None else "NONZERO?"
             print(f"  (m1,m2)=({m1:+d},{m2:+d}) -> {verdict}")
             continue
         shape = (L[tot] @ qm2J0).scale(two).times_sqrt(two)

@@ -1,4 +1,4 @@
-"""Sparse operators on the truncated Fock space with exact entries.
+"""Sparse operators on the truncated Fock space.
 
 Operators are stored in the *monomial* basis e(x, y) = (b_1+)^x (b_-1+)^y |0>
 (or its q-analogue), in which every generator of the algebras at hand maps
@@ -43,18 +43,31 @@ Columns: the bases, ladders, ``expand`` and ``eval`` read one column
 A^a B^b |st> each.  :func:`act` multiplies the factors, rightmost first,
 onto the one-entry ``ket(st)`` = |st><st|; no operator power is built.
 
-Accumulation: a product (``@``) keeps one owned coefficient dict per
-output entry.  The first product for an entry is copied into it; each
-later product is merged in place, term by term in its own order, by
-:func:`qnum.add_terms`; a coefficient that reaches 0 is deleted at once,
-and so is an entry whose dict empties.  Sums (``+``, ``-``) merge the
-same way into copies of the touched entries.  These are the dict steps
-that adding each product to the running LaurentPoly would take, without
-the copies, so the coefficient insertion order is the same.  That order
-matters: ``LaurentPoly.__call__`` sums floats in it, so the numeric
-residuals and ``eval`` output depend on it.  Keeping cancelled zeros and
-trimming once at the end would move a coefficient that cancels and then
-reappears, and change those floats.
+Entry rings: an operator of every kind -- exact (:class:`QOperator`,
+Laurent entries), packed (:class:`PointOp`), float (:class:`NumOp`) and
+magnitude (:class:`NumMagnitude`) -- is one :class:`SparseOp`, which
+keeps the bookkeeping once: store, bounds, climb composition, divisor,
+den, flag, the sum, negation, ``scale`` and the product.  A kind only
+binds the arithmetic of its entries: a product, a sum that says when it
+is provably zero, and a store times a scalar.
+
+Accumulation: a product (``@``) keeps, per output entry, its first ring
+product as it is, and merges each later one into it with the ring sum;
+a sum that cancels deletes the entry, and a later product starts it
+again.  Sums (``+``, ``-``) merge the same way into a copy of the left
+store, and ``a - b`` is ``a + (-b)``.  For Laurent entries the second
+product of an entry copies the first one's coefficients into an owned
+dict, and every later one is merged into that dict in place, term by
+term in its own order, by :func:`qnum.add_terms`; a coefficient that
+reaches 0 is deleted at once.  Owned dicts are wrapped once, when the
+result is made.  These are the dict steps that adding each product to
+the running LaurentPoly would take, without the copies, so the
+coefficient insertion order is the same.  That order matters:
+``LaurentPoly.__call__`` sums floats in it, so the numeric residuals and
+``eval`` output depend on it.  Keeping cancelled zeros and trimming once
+at the end would move a coefficient that cancels and then reappears, and
+change those floats.  The float product is ``0.0 + a*b``, the first sum
+of an accumulating loop, so that signed zeros agree with it.
 
 Diagonals: an operator whose store keys are all (i, i) is diagonal,
 whatever its declared bounds (J_+ has nu_raise = nu_lower = 0 and is
@@ -63,10 +76,9 @@ of running the general loop: ``diag @ X`` makes one ring product per
 entry of X, in X's key order, and ``X @ diag`` walks X's columns in the
 diagonal's key order.  No output entry gets two products there, so
 these are the general loop's entries, key order and coefficient order
-included; ``NumOp`` takes the same paths, with the loop's first sum
-``0.0 + a*b`` kept so that signed zeros agree.  A one-entry ``ket`` is
-diagonal, so the first product of :func:`act` is a column scaling.  The
-diagonals themselves are built from compiled state formulas
+included, in every ring.  A one-entry ``ket`` is diagonal, so the first
+product of :func:`act` is a column scaling.  The diagonals themselves
+are built from compiled state formulas
 (:class:`sp4q.notation.StateFormula`) in integer arithmetic and are not
 kept: rebuilding one costs less than holding it.
 
@@ -78,18 +90,20 @@ exponent and L a bound on sum_k |c_k|; a product multiplies V and L and
 adds e0, a sum shifts the higher V onto the lower e0 and adds L.  The map
 is a ring homomorphism, so a zero entry has V = 0.  Conversely, if V = 0
 and L < 2^(B-1), every |c_k| < 2^(B-1), and the lowest nonzero c_j would
-leave V = 2^(B(j - e0)) (c_j + 2^B R) != 0: the entry is zero.  The
-largest L of a catalogue residual at cutoff 24, flipped or not, is
-58,752 (16 bits).  So a relation whose residual image keeps no entry on its window holds
-exactly.  A nonzero V proves an entry nonzero, but a Fails prints it as
-a Laurent polynomial, and V = 0 with a larger L proves nothing: either
-way the check rebuilds its residual exactly, which gives the verdict,
-the witness and the residual text.
+leave V = 2^(B(j - e0)) (c_j + 2^B R) != 0: the entry is zero, and the
+packed sum drops it.  The largest L of a catalogue residual at cutoff
+24, flipped or not, is 58,752 (16 bits).  So a relation whose residual
+image keeps no entry on its window holds exactly.  A nonzero V proves an
+entry nonzero, but a Fails prints it as a Laurent polynomial, and V = 0
+with a larger L proves nothing (a product of eight entries with L = 8
+already has L = 2^24): either way the check rebuilds its residual
+exactly, which gives the verdict, the witness and the residual text.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -132,21 +146,237 @@ class SafeSubspace:
         return state.nu <= self.max_nu
 
 
-class QOperator:
-    """Exact sparse operator in the monomial basis.
+def _compose(a: dict, b: dict, mul: Callable, add: Callable) -> dict:
+    """The store a @ b in the ring of mul and add (see "Accumulation" and
+    "Diagonals" above): rows scaled when a is diagonal, columns scaled
+    when b is, else the general loop over a's columns."""
+    entries: dict = {}
+    if _is_diagonal(a):
+        for key, y in b.items():
+            x = a.get((key[0], key[0]))
+            if x is not None:
+                entries[key] = mul(x, y)
+    elif _is_diagonal(b):
+        cols = _columns(a, b)
+        for (s, _), y in b.items():
+            for d, x in cols[s]:
+                entries[(d, s)] = mul(x, y)
+    else:
+        cols = _columns(a, b)
+        for (mid, src), y in b.items():
+            for dst, x in cols[mid]:
+                key = (dst, src)
+                acc = entries.get(key)
+                if acc is None:
+                    entries[key] = mul(x, y)
+                elif (acc := add(acc, mul(x, y))) is None:
+                    del entries[key]
+                else:
+                    entries[key] = acc
+    return entries
+
+
+def _columns(a: dict, b: dict) -> dict[int, list]:
+    """The entries (dst, value) of the store a by source, for the sources
+    that are rows of the store b only, each list in a's key order."""
+    cols: dict[int, list] = {mid: [] for mid, _ in b}
+    for (d, s), v in a.items():
+        col = cols.get(s)
+        if col is not None:
+            col.append((d, v))
+    return cols
+
+
+def _is_diagonal(store: dict) -> bool:
+    """Whether every key of the store is (i, i)."""
+    for d, s in store:
+        if d != s:
+            return False
+    return True
+
+
+class SparseOp:
+    """A sparse operator in the monomial basis, over the entry ring its
+    kind binds.
 
     The represented operator is  sqrt(sqrt_sq) / (k * den) * (store);
-    ``store`` maps (dst, src) to a Laurent polynomial with ``int``
-    coefficients only, ``k`` is a positive ``int`` and ``sqrt_sq is None``
-    means no square-root factor.  ``entries`` is the entry matrix as a
-    reader sees it, ``store / k``, and ``den`` is the denominator printed
-    with it.  Instances are treated as immutable; the store never holds a
-    zero polynomial.
+    ``store`` maps (dst, src) to an entry, ``k`` is a positive ``int`` and
+    ``sqrt_sq is None`` means no square-root factor.  Instances are
+    treated as immutable.  A kind binds, as class attributes:
+
+        _mul(x, y)        the product of two entries
+        _add(acc, y)      their sum, or None where it is provably zero
+        _neg(x)           the negated entry
+        _times(store, f)  every entry times a scalar f
+        _zero             what an entry absent from the left side of a
+                          sum adds to (None: the right entry is kept)
     """
 
-    __slots__ = ("space", "store", "k", "den", "sqrt_sq", "nu_raise", "nu_lower",
-                 "climb", "_entries")
+    __slots__ = ("space", "store", "k", "den", "sqrt_sq", "nu_raise", "nu_lower", "climb")
 
+    _zero = None
+
+    @classmethod
+    def _of(cls, space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb):
+        """An operator from a store and its divisor, as is."""
+        op = object.__new__(cls)
+        op._set(space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb)
+        return op
+
+    def _set(self, space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb) -> None:
+        self.space, self.store, self.k, self.den = space, store, k, den
+        self.sqrt_sq, self.nu_raise, self.nu_lower, self.climb = (
+            sqrt_sq, nu_raise, nu_lower, climb)
+
+    def _new(self, store, k, den, sqrt_sq, nu_raise, nu_lower, climb):
+        """An operator of this one's kind on its space."""
+        return self._of(self.space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb)
+
+    def _like(self, store, k, den, sqrt_sq):
+        """An operator of this one's kind, space and bounds."""
+        return self._new(store, k, den, sqrt_sq, self.nu_raise, self.nu_lower, self.climb)
+
+    entries = property(lambda self: self.store)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.store
+
+    # -- linear structure --------------------------------------------------
+
+    def _flag_compatible(self, other: "SparseOp") -> LaurentPoly | None:
+        if self.is_zero:
+            return other.sqrt_sq
+        if other.is_zero:
+            return self.sqrt_sq
+        if (self.sqrt_sq is None) != (other.sqrt_sq is None) or (
+            self.sqrt_sq is not None and self.sqrt_sq != other.sqrt_sq
+        ):
+            raise ValueError("cannot add operators with different sqrt flags")
+        return self.sqrt_sq
+
+    def _plus(self, other, minus: bool):
+        """self + other, or self - other, other's entries (negated for
+        minus) merged into a copy of self's store.  Both sides are first
+        brought over one divisor, the least common multiple of theirs; a
+        side already over it keeps its entries, so entries other does not
+        touch stay shared."""
+        if self.space is not other.space and self.space != other.space:
+            raise ValueError("operators live on different spaces")
+        flag = self._flag_compatible(other)
+        mine, theirs, k, den = self.store, other.store, self.k, self.den
+        if k != other.k or (den is not other.den and den != other.den):
+            # each store times an integral factor, over the divisor k_mine
+            # or k_theirs, before both are brought over k
+            times_mine = times_theirs = ONE
+            k_mine, k_theirs = k, other.k
+            if den != other.den:
+                den = self.den * other.den
+                times_mine, d_mine = _split(other.den)
+                times_theirs, d_theirs = _split(self.den)
+                k_mine, k_theirs = k_mine * d_mine, k_theirs * d_theirs
+            k = math.lcm(k_mine, k_theirs)
+            mine = self._times(mine, _scaled(times_mine, k // k_mine))
+            theirs = self._times(theirs, _scaled(times_theirs, k // k_theirs))
+        entries, add, neg, zero = dict(mine), self._add, self._neg, self._zero
+        for key, y in theirs.items():
+            if minus:
+                y = neg(y)
+            acc = entries.get(key, zero)
+            if acc is None:
+                entries[key] = y
+            elif (y := add(acc, y)) is None:
+                del entries[key]
+            else:
+                entries[key] = y
+        return self._new(entries, k, den, flag, max(self.nu_raise, other.nu_raise),
+                         max(self.nu_lower, other.nu_lower), max(self.climb, other.climb))
+
+    def __add__(self, other):
+        return self._plus(other, False)
+
+    def __sub__(self, other):
+        return self._plus(other, True)
+
+    def __neg__(self):
+        neg = self._neg
+        return self._like({key: neg(x) for key, x in self.store.items()}, self.k, self.den,
+                          self.sqrt_sq)
+
+    def scale(self, factor):
+        """Multiply by an exact scalar (int, Fraction or LaurentPoly).
+        A factor of 1 returns this operator itself; a factor a/b
+        multiplies the store by a and the divisor by b."""
+        if isinstance(factor, (int, Fraction)):
+            factor = LaurentPoly.const(factor)
+        if factor.is_zero:
+            return self._new({}, 1, ONE, None, 0, 0, 0)
+        if factor.is_one:
+            return self
+        poly, d = _split(factor)
+        return self._like(self._times(self.store, poly), self.k * d, self.den, self.sqrt_sq)
+
+    def over(self, den: LaurentPoly):
+        """Divide by an exact Laurent-polynomial scalar."""
+        return self._like(dict(self.store), self.k, self.den * den, self.sqrt_sq)
+
+    def times_sqrt(self, base: LaurentPoly):
+        """Multiply by sqrt(base), collapsing (sqrt base)^2 = base."""
+        if self.sqrt_sq is None:
+            return self._like(dict(self.store), self.k, self.den, base)
+        if self.sqrt_sq != base:
+            raise ValueError("mixed sqrt bases are not supported")
+        poly, d = _split(base)
+        return self._like(self._times(self.store, poly), self.k * d, self.den, None)
+
+    def transpose(self):
+        """The transpose: keys swapped, and with them nu_raise and
+        nu_lower."""
+        return self._new({(s, d): x for (d, s), x in self.store.items()}, self.k, self.den,
+                         self.sqrt_sq, self.nu_lower, self.nu_raise, max(self.nu_lower, 0))
+
+    # -- composition --------------------------------------------------------
+
+    def __matmul__(self, other):
+        """self after other (matrix product): the divisors and dens
+        multiply, two square-root flags collapse into the entries and the
+        bounds compose."""
+        if self.space is not other.space and self.space != other.space:
+            raise ValueError("operators live on different spaces")
+        # a den of ONE, as every float operator has, takes no ring product
+        den = (other.den if self.den is ONE else self.den if other.den is ONE
+               else self.den * other.den)
+        op = self._new(_compose(self.store, other.store, self._mul, self._add),
+                       self.k * other.k, den,
+                       other.sqrt_sq if self.sqrt_sq is None else self.sqrt_sq,
+                       self.nu_raise + other.nu_raise, self.nu_lower + other.nu_lower,
+                       max(other.climb, other.nu_raise + self.climb))
+        if self.sqrt_sq is None or other.sqrt_sq is None:
+            return op
+        return op.times_sqrt(other.sqrt_sq)
+
+
+def _ladd(acc, y: LaurentPoly) -> dict | None:
+    """acc + y for Laurent entries, as an owned coefficient dict: a first
+    product acc is copied into one, an owned dict is merged into in place;
+    None when every coefficient cancels."""
+    c = acc if type(acc) is dict else dict(acc.c)
+    add_terms(c, y.c)
+    return c or None
+
+
+class QOperator(SparseOp):
+    """Exact sparse operator: ``store`` maps (dst, src) to a Laurent
+    polynomial with ``int`` coefficients only, and never to a zero one.
+    ``entries`` is the entry matrix as a reader sees it, ``store / k``,
+    and ``den`` is the denominator printed with it.
+    """
+
+    __slots__ = ("_entries",)
+
+    _mul = staticmethod(operator.mul)
+    _add = staticmethod(_ladd)
+    _neg = staticmethod(operator.neg)
     _times = staticmethod(_times)
 
     def __init__(
@@ -164,33 +394,23 @@ class QOperator:
         store, k = _fold(entries)
         self._set(space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb)
 
-    @classmethod
-    def _of(cls, space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb) -> "QOperator":
-        """An operator from an integer store and its divisor, as is."""
-        op = object.__new__(cls)
-        op._set(space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb)
-        return op
-
     def _set(self, space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb) -> None:
-        self.space, self.store, self.k, self.den = space, store, k, den
-        self.sqrt_sq, self.nu_raise, self.nu_lower, self.climb = (
-            sqrt_sq, nu_raise, nu_lower, climb)
+        """Also wraps the owned coefficient dicts a product or sum left in
+        the store, and checks every entry against the declared bounds."""
+        SparseOp._set(self, space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb)
         self._entries = None
         nus = space.nus
-        for (d, s), poly in store.items():
+        for key, poly in store.items():
+            if type(poly) is dict:
+                store[key] = poly = LaurentPoly._of(poly)
             if poly.is_zero:
                 raise ValueError("zero entry stored in QOperator")
-            dn = nus[d] - nus[s]
+            dn = nus[key[0]] - nus[key[1]]
             if dn > nu_raise or -dn > nu_lower:
                 raise ValueError(
-                    f"entry {(d, s)} violates declared bounds "
+                    f"entry {key} violates declared bounds "
                     f"raise={nu_raise} lower={nu_lower}"
                 )
-
-    def _like(self, store, k, den, sqrt_sq) -> "QOperator":
-        """An operator of this one's class, space and bounds."""
-        return self._of(self.space, store, k, den, sqrt_sq,
-                        self.nu_raise, self.nu_lower, self.climb)
 
     @property
     def entries(self) -> dict[tuple[int, int], LaurentPoly]:
@@ -220,6 +440,11 @@ class QOperator:
         return (f"QOperator({self.space!r}, {self.entries!r}, den={self.den!r}, "
                 f"sqrt_sq={self.sqrt_sq!r}, nu_raise={self.nu_raise}, "
                 f"nu_lower={self.nu_lower}, climb={self.climb})")
+
+    def __matmul__(self, other: "QOperator") -> "QOperator":
+        # SparseOp's product, as a function of this class's own, so that
+        # perfbench/tracing.py times exact products apart from NumOp's
+        return SparseOp.__matmul__(self, other)
 
     # -- constructors ----------------------------------------------------
 
@@ -268,163 +493,6 @@ class QOperator:
             climb=max(nu_raise, 0),
         )
 
-    # -- linear structure --------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.store
-
-    def _flag_compatible(self, other: "QOperator") -> LaurentPoly | None:
-        if self.is_zero:
-            return other.sqrt_sq
-        if other.is_zero:
-            return self.sqrt_sq
-        if (self.sqrt_sq is None) != (other.sqrt_sq is None) or (
-            self.sqrt_sq is not None and self.sqrt_sq != other.sqrt_sq
-        ):
-            raise ValueError("cannot add operators with different sqrt flags")
-        return self.sqrt_sq
-
-    def _plus(self, other: "QOperator", sign: int) -> "QOperator":
-        """self + sign * other, merging other's entries into a copy of
-        self's store.  Both sides are first brought over one divisor, the
-        least common multiple of theirs; a side already over it keeps its
-        polynomials, so entries other does not touch stay shared."""
-        if self.space != other.space:
-            raise ValueError("operators live on different spaces")
-        flag = self._flag_compatible(other)
-        # each store times an integral factor, over the divisor k_mine or
-        # k_theirs, before both are brought over k
-        if self.den == other.den:
-            den, times_mine, times_theirs = self.den, ONE, ONE
-            k_mine, k_theirs = self.k, other.k
-        else:
-            den = self.den * other.den
-            times_mine, d_mine = _split(other.den)
-            times_theirs, d_theirs = _split(self.den)
-            k_mine, k_theirs = self.k * d_mine, other.k * d_theirs
-        k = math.lcm(k_mine, k_theirs)
-        entries = self._merge(self._times(self.store, _scaled(times_mine, k // k_mine)),
-                              self._times(other.store, _scaled(times_theirs, k // k_theirs)),
-                              sign)
-        return self._of(self.space, entries, k, den, flag, max(self.nu_raise, other.nu_raise),
-                        max(self.nu_lower, other.nu_lower), max(self.climb, other.climb))
-
-    @staticmethod
-    def _merge(mine: dict, theirs: dict, sign: int) -> dict:
-        """A copy of mine plus sign * theirs, entry by entry; an entry
-        that cancels is deleted."""
-        entries = dict(mine)
-        for key, poly in theirs.items():
-            acc = entries.get(key)
-            if acc is None:
-                entries[key] = poly if sign > 0 else -poly
-                continue
-            c = dict(acc.c)
-            add_terms(c, poly.c, sign)
-            if c:
-                entries[key] = LaurentPoly._of(c)
-            else:
-                del entries[key]
-        return entries
-
-    def __add__(self, other: "QOperator") -> "QOperator":
-        return self._plus(other, 1)
-
-    def __neg__(self) -> "QOperator":
-        return self._like({key: -p for key, p in self.store.items()}, self.k, self.den,
-                          self.sqrt_sq)
-
-    def __sub__(self, other: "QOperator") -> "QOperator":
-        return self._plus(other, -1)
-
-    def scale(self, factor) -> "QOperator":
-        """Multiply by an exact scalar (int, Fraction or LaurentPoly).
-        A factor of 1 returns this operator itself; a factor a/b
-        multiplies the store by a and the divisor by b."""
-        if isinstance(factor, (int, Fraction)):
-            factor = LaurentPoly.const(factor)
-        if factor.is_zero:
-            return self.zero(self.space)
-        if factor.is_one:
-            return self
-        poly, d = _split(factor)
-        return self._like(self._times(self.store, poly), self.k * d, self.den, self.sqrt_sq)
-
-    def over(self, den: LaurentPoly) -> "QOperator":
-        """Divide by an exact Laurent-polynomial scalar."""
-        return self._like(dict(self.store), self.k, self.den * den, self.sqrt_sq)
-
-    def times_sqrt(self, base: LaurentPoly) -> "QOperator":
-        """Multiply by sqrt(base), collapsing (sqrt base)^2 = base."""
-        if self.sqrt_sq is None:
-            return self._like(dict(self.store), self.k, self.den, base)
-        if self.sqrt_sq != base:
-            raise ValueError("mixed sqrt bases are not supported")
-        poly, d = _split(base)
-        return self._like(self._times(self.store, poly), self.k * d, self.den, None)
-
-    # -- composition --------------------------------------------------------
-
-    def __matmul__(self, other: "QOperator") -> "QOperator":
-        """self after other (matrix product); the divisors multiply."""
-        if self.space != other.space:
-            raise ValueError("operators live on different spaces")
-        a, b = self.store, other.store
-        entries: dict = {}
-        if _is_diagonal(a):
-            # rows scaled: one product per entry of other, in its key order
-            for key, bpoly in b.items():
-                apoly = a.get((key[0], key[0]))
-                if apoly is not None:
-                    entries[key] = apoly * bpoly
-        elif _is_diagonal(b):
-            # columns scaled: self's columns in other's key order
-            cols = _columns(a, b)
-            for (s, _), bpoly in b.items():
-                for d, apoly in cols[s]:
-                    entries[(d, s)] = apoly * bpoly
-        else:
-            # One owned coefficient dict per output entry, wrapped in place
-            # at the end; see the module docstring for why products are
-            # merged in place, in order.
-            cols = _columns(a, b)
-            for (mid, src), bpoly in b.items():
-                for dst, apoly in cols[mid]:
-                    key = (dst, src)
-                    prod = (apoly * bpoly).c
-                    c = entries.get(key)
-                    if c is None:
-                        entries[key] = dict(prod)
-                        continue
-                    add_terms(c, prod)
-                    if not c:
-                        del entries[key]
-            for key, c in entries.items():
-                entries[key] = LaurentPoly._of(c)
-        return self._product(other, entries)
-
-    def _product(self, other: "QOperator", entries: dict) -> "QOperator":
-        """self @ other from its composed entries: the divisors and dens
-        multiply, two equal square-root flags collapse into the entries
-        and the bounds compose."""
-        k = self.k * other.k
-        flag: LaurentPoly | None
-        if self.sqrt_sq is None:
-            flag = other.sqrt_sq
-        elif other.sqrt_sq is None:
-            flag = self.sqrt_sq
-        else:
-            if self.sqrt_sq != other.sqrt_sq:
-                raise ValueError("mixed sqrt bases are not supported")
-            base, d = _split(self.sqrt_sq)
-            entries = self._times(entries, base)
-            k *= d
-            flag = None
-        return self._of(self.space, entries, k, self.den * other.den, flag,
-                        self.nu_raise + other.nu_raise, self.nu_lower + other.nu_lower,
-                        max(other.climb, other.nu_raise + self.climb))
-
     # -- inspection ----------------------------------------------------------
 
     def column(self, src: FockState) -> dict[FockState, LaurentPoly]:
@@ -440,25 +508,6 @@ class QOperator:
     def entry(self, dst: FockState, src: FockState) -> LaurentPoly:
         poly = self.store.get((self.space.index(dst), self.space.index(src)))
         return LaurentPoly.zero() if poly is None else self._rational(poly)
-
-
-def _columns(a: dict, b: dict) -> dict[int, list]:
-    """The entries (dst, value) of the store a by source, for the sources
-    that are rows of the store b only, each list in a's key order."""
-    cols: dict[int, list] = {mid: [] for mid, _ in b}
-    for (d, s), v in a.items():
-        col = cols.get(s)
-        if col is not None:
-            col.append((d, v))
-    return cols
-
-
-def _is_diagonal(store: dict) -> bool:
-    """Whether every key of the store is (i, i)."""
-    for d, s in store:
-        if d != s:
-            return False
-    return True
 
 
 def _fold(entries: dict) -> tuple[dict, int]:
@@ -505,7 +554,7 @@ def _over(poly: LaurentPoly, k: int) -> LaurentPoly:
 
 def act(word, ket):
     """A^a B^b ket for the word ``[(A, a), (B, b)]``, rightmost factor
-    first; for QOperator and NumOp alike."""
+    first; for every kind of operator alike."""
     for op, k in reversed(word):
         for _ in range(k):
             ket = op @ ket
@@ -515,11 +564,6 @@ def act(word, ket):
 def q_commutator(a: QOperator, b: QOperator, rho: Fraction | int = 0) -> QOperator:
     """The deformed commutator [a, b]_{q^rho} = a b - q^rho b a."""
     return (a @ b) - (b @ a).scale(q_power(rho))
-
-
-def is_zero_on(op: QOperator, sub: SafeSubspace) -> bool:
-    """Exact vanishing of every column sourced inside the safe subspace."""
-    return first_witness(op, sub) is None
 
 
 def first_witness(
@@ -599,16 +643,35 @@ def gram_squared_element(
     return QRationalFn(num, gram_fn(src) * op.den * op.den)
 
 
-@dataclass(frozen=True)
-class NumOp:
-    """Floating-point operator in the orthonormal basis."""
+def _fmul(x: float, y: float) -> float:
+    # the first sum of an accumulating loop, so that signed zeros agree
+    return 0.0 + x * y
 
-    space: FockSpace
-    q: float
-    entries: dict[tuple[int, int], float]
-    nu_raise: int = 0
-    nu_lower: int = 0
-    climb: int = 0
+
+def _ftimes(store: dict, factor: float) -> dict:
+    """Every float entry times factor."""
+    return {key: v * factor for key, v in store.items()}
+
+
+class NumOp(SparseOp):
+    """Floating-point operator in the orthonormal basis at ``q``: float
+    entries, divisor 1, den 1 and no flag."""
+
+    __slots__ = ("q",)
+
+    _mul = staticmethod(_fmul)
+    _add = staticmethod(operator.add)
+    _neg = staticmethod(operator.neg)
+    _times = staticmethod(_ftimes)
+    _zero = 0.0
+
+    def __init__(self, space: FockSpace, q: float, entries: dict[tuple[int, int], float],
+                 nu_raise: int = 0, nu_lower: int = 0, climb: int = 0):
+        self._set(space, entries, 1, ONE, None, nu_raise, nu_lower, climb)
+        self.q = q
+
+    def _new(self, store, k, den, sqrt_sq, nu_raise, nu_lower, climb):
+        return self.__class__(self.space, self.q, store, nu_raise, nu_lower, climb)
 
     @classmethod
     def identity(cls, space: FockSpace, q: float) -> "NumOp":
@@ -620,119 +683,46 @@ class NumOp:
         i = space.index(state)
         return cls(space, q, {(i, i): 1.0})
 
-    def __add__(self, other: "NumOp") -> "NumOp":
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            entries[k] = entries.get(k, 0.0) + v
-        return self._sum_with(other, entries)
-
-    def __neg__(self) -> "NumOp":
-        return self.scale(-1.0)
-
-    def __sub__(self, other: "NumOp") -> "NumOp":
-        # IEEE 754 defines x - y as x + (-y), signed zeros included, so
-        # one merging pass gives the floats and key order of self + (-other).
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            entries[k] = entries.get(k, 0.0) - v
-        return self._sum_with(other, entries)
-
-    def _sum_with(self, other: "NumOp", entries) -> "NumOp":
-        """The sum or difference of self and other with these entries."""
-        return type(self)(
-            self.space,
-            self.q,
-            entries,
-            nu_raise=max(self.nu_raise, other.nu_raise),
-            nu_lower=max(self.nu_lower, other.nu_lower),
-            climb=max(self.climb, other.climb),
-        )
-
     def scale(self, factor: float) -> "NumOp":
-        return type(self)(
-            self.space,
-            self.q,
-            {k: v * factor for k, v in self.entries.items()},
-            nu_raise=self.nu_raise,
-            nu_lower=self.nu_lower,
-            climb=self.climb,
-        )
+        """Multiply by a float."""
+        return self._like(self._times(self.store, factor), 1, ONE, None)
 
     def __matmul__(self, other: "NumOp") -> "NumOp":
-        # The paths of QOperator.__matmul__; 0.0 + a*b is the general
-        # loop's first sum, signed zeros included.
-        a, b = self.entries, other.entries
-        entries: dict[tuple[int, int], float] = {}
-        if _is_diagonal(a):
-            for key, bv in b.items():
-                av = a.get((key[0], key[0]))
-                if av is not None:
-                    entries[key] = 0.0 + av * bv
-        elif _is_diagonal(b):
-            cols = _columns(a, b)
-            for (s, _), bv in b.items():
-                for d, av in cols[s]:
-                    entries[(d, s)] = 0.0 + av * bv
-        else:
-            cols = _columns(a, b)
-            for (mid, src), bv in b.items():
-                for dst, av in cols[mid]:
-                    key = (dst, src)
-                    entries[key] = entries.get(key, 0.0) + av * bv
-        return type(self)(
-            self.space,
-            self.q,
-            entries,
-            nu_raise=self.nu_raise + other.nu_raise,
-            nu_lower=self.nu_lower + other.nu_lower,
-            climb=max(other.climb, other.nu_raise + self.climb),
-        )
-
-    def transpose(self) -> "NumOp":
-        return NumOp(
-            self.space,
-            self.q,
-            {(s, d): v for (d, s), v in self.entries.items()},
-            nu_raise=self.nu_lower,
-            nu_lower=self.nu_raise,
-            climb=max(self.nu_lower, 0),
-        )
+        # SparseOp's product, as a function of this class's own, so that
+        # perfbench/tracing.py times float products apart from exact ones
+        return SparseOp.__matmul__(self, other)
 
     def max_abs_on(self, sub: SafeSubspace) -> float:
         out = 0.0
         nus = self.space.nus
-        for (d, s), v in self.entries.items():
+        for (d, s), v in self.store.items():
             if nus[s] <= sub.max_nu:
                 out = max(out, abs(v))
         return out
 
     def max_abs(self) -> float:
-        return max((abs(v) for v in self.entries.values()), default=0.0)
+        return max((abs(v) for v in self.store.values()), default=0.0)
 
 
 class NumMagnitude(NumOp):
-    """A NumOp that holds magnitudes: negation is the identity,
-    subtraction adds and ``scale`` uses |factor|.  An expression built
+    """A NumOp that holds magnitudes: negation is the identity, so
+    subtraction adds, and ``scale`` uses |factor|.  An expression built
     from the |entries| of its operands thus gives, entry by entry, the
     sum of the magnitudes of the terms that the signed expression adds,
     which bounds that expression's rounding error (a running error
     bound; Higham, *Accuracy and Stability of Numerical Algorithms*,
     ch. 3)."""
 
-    def __neg__(self) -> "NumMagnitude":
-        return self
+    __slots__ = ()
 
-    def __sub__(self, other: "NumOp") -> "NumMagnitude":
-        return self + other
-
-    def scale(self, factor: float) -> "NumMagnitude":
-        return NumOp.scale(self, abs(factor))
+    _neg = staticmethod(operator.pos)
+    _times = staticmethod(lambda store, factor: _ftimes(store, abs(factor)))
 
 
 def magnitude(op: NumOp) -> NumMagnitude:
     """|op|, entry by entry."""
-    return NumMagnitude(op.space, op.q, {k: abs(v) for k, v in op.entries.items()},
-                        nu_raise=op.nu_raise, nu_lower=op.nu_lower, climb=op.climb)
+    return NumMagnitude(op.space, op.q, {k: abs(v) for k, v in op.store.items()},
+                        op.nu_raise, op.nu_lower, op.climb)
 
 
 # -- the point decision ------------------------------------------------------
@@ -749,13 +739,22 @@ def pack(poly: LaurentPoly) -> tuple[int, int, int]:
     return e0, sum(v << B * (e - e0) for e, v in c.items()), sum(map(abs, c.values()))
 
 
-def _padd(x: tuple, y: tuple) -> tuple[int, int, int]:
+def _pmul(x: tuple, y: tuple) -> tuple[int, int, int]:
+    """The packed product of two packed entries."""
+    (e, v, l), (f, w, m) = x, y
+    return e + f, v * w, l * m
+
+
+def _padd(x: tuple, y: tuple) -> tuple[int, int, int] | None:
     """The packed sum of two packed entries: the higher one shifted onto
-    the lower's exponent, then zero low digits stripped."""
+    the lower's exponent, then zero low digits stripped; None when it is
+    provably zero, V = 0 with L < 2^(B-1)."""
     (e, v, l), (f, w, m) = x, y
     if e > f:
         e, v, f, w = f, w, e, v
     v += w << B * (f - e)
+    if not v and l + m < _HALF:
+        return None
     while v and not v & _MASK:
         v >>= B
         e += 1
@@ -771,18 +770,19 @@ def _ptimes(store: dict, factor: LaurentPoly) -> dict:
     return {key: (e + f, v * w, l * m) for key, (e, v, l) in store.items()}
 
 
-class PointOp(QOperator):
+class PointOp(SparseOp):
     """A QOperator's image at s = 2^B (see "Point decision" above):
     ``store`` maps (dst, src) to a packed entry (e0, V, L), and an entry
-    with V = 0 and L < 2^(B-1) is provably zero and dropped, as QOperator
-    deletes a cancelled one.  ``k``, ``den``, the flag, the bounds, the
-    sums, ``scale``, ``over`` and ``times_sqrt`` are QOperator's own."""
+    with V = 0 and L < 2^(B-1) is provably zero and dropped, as a
+    QOperator deletes a cancelled one.  ``k``, ``den``, the flag and the
+    bounds are the QOperator's."""
 
     __slots__ = ()
 
+    _mul = staticmethod(_pmul)
+    _add = staticmethod(_padd)
+    _neg = staticmethod(lambda x: (x[0], -x[1], x[2]))
     _times = staticmethod(_ptimes)
-
-    entries = property(lambda self: self.store)  # a packed entry keeps k apart
 
     @classmethod
     def of(cls, op: QOperator) -> "PointOp":
@@ -800,47 +800,6 @@ class PointOp(QOperator):
             store[key] = x if x is not None else seen.setdefault(terms, pack(poly))
         return cls._of(op.space, store, op.k, op.den, op.sqrt_sq, op.nu_raise, op.nu_lower,
                        op.climb)
-
-    def _set(self, space, store, k, den, sqrt_sq, nu_raise, nu_lower, climb) -> None:
-        self.space, self.store, self.k, self.den = space, store, k, den
-        self.sqrt_sq, self.nu_raise, self.nu_lower, self.climb = (
-            sqrt_sq, nu_raise, nu_lower, climb)
-
-    @staticmethod
-    def _merge(mine: dict, theirs: dict, sign: int) -> dict:
-        entries = dict(mine)
-        for key, y in theirs.items():
-            if sign < 0:
-                y = (y[0], -y[1], y[2])
-            acc = entries.get(key)
-            if acc is None:
-                entries[key] = y
-            elif (y := _padd(acc, y))[1] or y[2] >= _HALF:
-                entries[key] = y
-            else:
-                del entries[key]
-        return entries
-
-    def __neg__(self) -> "PointOp":
-        return self._like({key: (e, -v, l) for key, (e, v, l) in self.store.items()},
-                          self.k, self.den, self.sqrt_sq)
-
-    def __matmul__(self, other: "PointOp") -> "PointOp":
-        if self.space != other.space:
-            raise ValueError("operators live on different spaces")
-        entries: dict = {}
-        cols = _columns(self.store, other.store)
-        for (mid, src), (f, w, m) in other.store.items():
-            for dst, (e, v, l) in cols[mid]:
-                key, x = (dst, src), (e + f, v * w, l * m)
-                acc = entries.get(key)
-                if acc is None:
-                    entries[key] = x
-                elif (x := _padd(acc, x))[1] or x[2] >= _HALF:
-                    entries[key] = x
-                else:
-                    del entries[key]
-        return self._product(other, entries)
 
     def zero_on(self, sub: SafeSubspace) -> bool:
         """Whether every entry sourced inside the safe subspace is

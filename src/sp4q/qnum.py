@@ -453,12 +453,6 @@ def q_bracket(x: Scalar, m: int = 1) -> QRationalFn:
     return QRationalFn(num, den)
 
 
-def eval_at(p, q: float) -> float:
-    """Evaluate a LaurentPoly or QRationalFn at a numeric q > 0."""
-    require_q(q)
-    return p(q)
-
-
 def limit_q1(p) -> Q:
     """Exact limit as q -> 1 of a LaurentPoly or QRationalFn.
 

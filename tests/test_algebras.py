@@ -627,14 +627,29 @@ def _expression(data, names, depth):
             "-": lambda ctx: a(ctx) - b(ctx)}[node]
 
 
+def _assert_packed_image(point, exact):
+    # the image keeps the exact result's divisor, den, flag and bounds;
+    # every exact entry is in it with the same V at the same e0 and an L
+    # no smaller than the entry's l1 norm, and an image entry the exact
+    # result lacks is undecided: V = 0 with L at least 2^(B-1)
+    assert (point.k, point.den, point.sqrt_sq, point.nu_raise, point.nu_lower,
+            point.climb) == (exact.k, exact.den, exact.sqrt_sq, exact.nu_raise,
+                             exact.nu_lower, exact.climb)
+    for key, poly in exact.store.items():
+        e0, v, bound = point.store[key]
+        assert (e0, v) == pack(poly)[:2]
+        assert sum(map(abs, poly.c.values())) <= bound
+    for key, (_, v, bound) in point.store.items():
+        if key not in exact.store:
+            assert v == 0 and bound >= 1 << (B - 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_point_image_is_the_packed_exact_result(data):
-    # an expression built in a PointContext is, entry by entry, the exact
-    # result packed: the same V at the same e0, L no smaller than the
-    # entry's l1 norm (and far below 2^(B-1) at these sizes), the same
-    # keys, divisor, den, flag and bounds; where the exact algebra
-    # refuses a sum of mixed flags, so does the image
+    # an expression built in a PointContext is the exact result packed
+    # (see _assert_packed_image); where the exact algebra refuses a sum
+    # of mixed flags, so does the image
     family = data.draw(st.sampled_from(FAMILIES))
     gens = build(family, FockSpace(data.draw(st.integers(4, 10))))
     ctx = data.draw(st.sampled_from((exact_context, classical_limit_context)))(gens)
@@ -646,15 +661,28 @@ def test_point_image_is_the_packed_exact_result(data):
         with pytest.raises(ValueError):
             expr(PointContext(ctx))
         return
-    point = expr(PointContext(ctx))
-    assert (point.k, point.den, point.sqrt_sq, point.nu_raise, point.nu_lower,
-            point.climb) == (exact.k, exact.den, exact.sqrt_sq, exact.nu_raise,
-                             exact.nu_lower, exact.climb)
-    assert point.store.keys() == exact.store.keys()
-    for key, poly in exact.store.items():
-        e0, v, bound = point.store[key]
-        assert (e0, v) == pack(poly)[:2]
-        assert sum(map(abs, poly.c.values())) <= bound < 1 << (B - 1)
+    _assert_packed_image(expr(PointContext(ctx)), exact)
+
+
+def test_point_image_of_a_large_power_keeps_undecided_entries():
+    # classical A0 at cutoff 7 has integer entries up to 8 over k = 2, so
+    # the @ tree A0^8 has an entry with L = 8^8 = 2^24, past 2^(B-1); and
+    # A0^8 - A0^8 cancels in the exact store, while its image keeps that
+    # entry with V = 0, undecided
+    gens = build("classical", FockSpace(7))
+    ctx = classical_limit_context(gens)
+
+    def power(c):
+        a2 = c["A0"] @ c["A0"]
+        a4 = a2 @ a2
+        return a4 @ a4
+
+    point, exact = power(PointContext(ctx)), power(ctx)
+    _assert_packed_image(point, exact)
+    assert max(bound for _, _, bound in point.store.values()) == 1 << 24
+    zero, image = power(ctx) - exact, point - power(PointContext(ctx))
+    assert not zero.store and image.store
+    _assert_packed_image(image, zero)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

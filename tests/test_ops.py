@@ -21,7 +21,7 @@ from sp4q.ops import (
     first_witness,
     gram,
     gram_squared_element,
-    is_zero_on,
+    magnitude,
     q_commutator,
     to_numeric,
 )
@@ -87,8 +87,8 @@ def test_truncation_makes_top_shell_untrustworthy():
     space = FockSpace(5)
     res = q_commutator(annihilator(space, 1), creator(space, -1), 0)
     assert res.climb == 1
-    assert is_zero_on(res, SafeSubspace(space, 4))
-    assert not is_zero_on(res, SafeSubspace(space, 5))
+    assert first_witness(res, SafeSubspace(space, 4)) is None
+    assert first_witness(res, SafeSubspace(space, 5)) is not None
     src, dst, poly = first_witness(res, SafeSubspace(space, 5))
     assert src.nu == 5 and dst.nu == 5
     assert not poly.is_zero
@@ -173,7 +173,7 @@ def test_shared_denominators_cross_multiply():
     sub = SafeSubspace(space, 2)
     for _, value in diagonal_spectrum(total, sub):
         assert value == QRationalFn(ONE + q_int(2), q_int(2))
-    assert is_zero_on(a + (-b) - (a - b), sub)
+    assert first_witness(a + (-b) - (a - b), sub) is None
 
 
 def test_diagonal_spectrum_rejects_off_diagonal():
@@ -472,3 +472,65 @@ def test_point_sums_drop_only_provably_zero_entries():
     lower, higher = point((2, -1 + (1 << B), 2)), point((2, 1, 1))
     assert (lower + higher).store == {(0, 0): (3, 1, 3)}
     assert (point((3, 1, 1)) + point((2, 1, 1))).store == {(0, 0): (2, 1 + (1 << B), 2)}
+
+
+# -- every entry ring on every product path ---------------------------------------
+#
+# The packed and magnitude rings share the product kernel of the exact and
+# float ones.  The reference below indexes the whole left factor, takes no
+# scaling path, and sums packed entries by plain integer arithmetic.
+
+
+def _packed_sum(x: tuple, y: tuple) -> tuple | None:
+    """Both values over the lower exponent, added, and whole powers of
+    2^B divided out; None where the sum is provably zero."""
+    e0 = min(x[0], y[0])
+    v = x[1] * 2 ** (B * (x[0] - e0)) + y[1] * 2 ** (B * (y[0] - e0))
+    bound = x[2] + y[2]
+    if v == 0:
+        return None if bound < 2 ** (B - 1) else (e0, 0, bound)
+    while v % 2 ** B == 0:
+        v, e0 = v // 2 ** B, e0 + 1
+    return e0, v, bound
+
+
+_RINGS = {
+    "packed": (PointOp.of, lambda x, y: (x[0] + y[0], x[1] * y[1], x[2] * y[2]), _packed_sum,
+               lambda store: list(store.items())),
+    "magnitude": (lambda op: magnitude(to_numeric(op, 0.7)), lambda x, y: x * y,
+                  lambda x, y: x + y, lambda store: [(key, v.hex()) for key, v in store.items()]),
+}
+
+
+def _full_index_product(a: dict, b: dict, mul, add) -> dict:
+    by_src = {}
+    for (d, s), x in a.items():
+        by_src.setdefault(s, []).append((d, x))
+    out = {}
+    for (mid, src), y in b.items():
+        for dst, x in by_src.get(mid, ()):
+            key, p = (dst, src), mul(x, y)
+            if key not in out:
+                out[key] = p
+            elif (total := add(out[key], p)) is None:
+                del out[key]
+            else:
+                out[key] = total
+    return out
+
+
+@pytest.mark.parametrize("path", ["rows", "columns", "general"])
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+def test_every_ring_takes_every_product_path(ring, path):
+    # diag @ X scales rows, X @ diag scales columns and X @ Y runs the
+    # general loop; X and Y are sums, so their keys are not sorted by
+    # source, and in X @ Y the entries [J+, J-] cancel where n1 = n-1
+    space = FockSpace(6)
+    image, mul, add, layout = _RINGS[ring]
+    jp = creator(space, 1) @ annihilator(space, -1)
+    jm = creator(space, -1) @ annihilator(space, 1)
+    diag = QOperator(space, {(i, i): q_int(state.n1 + 1) * q_int(state.nm1 + 2)
+                             for i, state in enumerate(space.states)})
+    x, y, d = image(jp - jm), image(jp + jm), image(diag)
+    a, b = {"rows": (d, x), "columns": (x, d), "general": (x, y)}[path]
+    assert layout((a @ b).store) == layout(_full_index_product(a.store, b.store, mul, add))

@@ -15,12 +15,12 @@ from hypothesis import given, strategies as st
 from sp4q.qnum import (
     LaurentPoly,
     QRationalFn,
-    eval_at,
     limit_q1,
     q_bracket,
     q_factorial,
     q_int,
     q_power,
+    require_q,
     taylor_coefficients,
 )
 
@@ -130,15 +130,16 @@ def test_bracket_quarter_base2():
 
 def test_eval_matches_closed_form():
     for q in (0.7, 1.3):
+        require_q(q)
         for n in range(1, 13):
             expect = (q**n - q**-n) / (q - 1 / q)
-            assert eval_at(q_int(n), q) == pytest.approx(expect, rel=1e-13)
+            assert q_int(n)(q) == pytest.approx(expect, rel=1e-13)
 
 
 def test_eval_rejects_nonpositive_q():
     for q in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
-            eval_at(q_int(2), q)
+            require_q(q)
 
 
 def test_limit_q1():
