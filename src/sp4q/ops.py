@@ -49,25 +49,26 @@ magnitude (:class:`NumMagnitude`) -- is one :class:`SparseOp`, which
 keeps the bookkeeping once: store, bounds, climb composition, divisor,
 den, flag, the sum, negation, ``scale`` and the product.  A kind only
 binds the arithmetic of its entries: a product, a sum that says when it
-is provably zero, and a store times a scalar.
+is provably zero, a negation, and a store times a scalar.
 
 Accumulation: a product (``@``) keeps, per output entry, its first ring
-product as it is, and merges each later one into it with the ring sum;
-a sum that cancels deletes the entry, and a later product starts it
-again.  Sums (``+``, ``-``) merge the same way into a copy of the left
-store, and ``a - b`` is ``a + (-b)``.  For Laurent entries the second
-product of an entry copies the first one's coefficients into an owned
-dict, and every later one is merged into that dict in place, term by
-term in its own order, by :func:`qnum.add_terms`; a coefficient that
-reaches 0 is deleted at once.  Owned dicts are wrapped once, when the
-result is made.  These are the dict steps that adding each product to
-the running LaurentPoly would take, without the copies, so the
-coefficient insertion order is the same.  That order matters:
-``LaurentPoly.__call__`` sums floats in it, so the numeric residuals and
-``eval`` output depend on it.  Keeping cancelled zeros and trimming once
-at the end would move a coefficient that cancels and then reappears, and
-change those floats.  The float product is ``0.0 + a*b``, the first sum
-of an accumulating loop, so that signed zeros agree with it.
+product as it is, and merges each later one into it with the ring sum; a
+sum that cancels deletes the entry, and a later product starts it again.
+Sums (``+``, ``-``) merge the same way into a copy of the left store;
+``a - b`` merges b's negated entries, entry for entry ``a + (-b)``.  For
+Laurent entries the second product of an entry copies the first one's
+coefficients into an owned dict, and every later one is merged into that
+dict in place, term by term in its own order, by :func:`qnum.add_terms`;
+a coefficient that reaches 0 is deleted at once.  Owned dicts are
+wrapped once, when the result is made.  These are the dict steps that
+adding each product to the running LaurentPoly would take, without the
+copies, so the coefficient insertion order is the same.  That order
+matters: ``LaurentPoly.__call__`` sums floats in it, so the numeric
+residuals and ``eval`` output depend on it.  Keeping cancelled zeros and
+trimming once at the end would move a coefficient that cancels and then
+reappears, and change those floats.  The float product is ``0.0 + a*b``,
+and a float sum adds an entry the left side lacks to ``0.0``: the first
+sums of an accumulating loop, so that signed zeros agree with it.
 
 Diagonals: an operator whose store keys are all (i, i) is diagonal,
 whatever its declared bounds (J_+ has nu_raise = nu_lower = 0 and is
