@@ -30,7 +30,8 @@ switch that negates one term, used by the mutation self-test.  Each
 builder is parsed from the relation's anchor, the formula its reports
 print, by :mod:`sp4q.notation` on the family's first
 :func:`relation_catalog` call; the casimirs are parsed from their
-defining combinations in the same notation.
+defining combinations in the same notation, and each casimir's residual
+against its closed-form diagonal from ``formula = closed form``.
 
 Generator sets are immutable and shared while alive.  A set depends only
 on its family and cutoff (the three families act in one Fock space, and
@@ -60,7 +61,7 @@ from .fock import FockSpace, FockState
 from .notation import STATE, StateFormula, formula_builder, relation_builder
 from .ops import (
     NumMagnitude, NumOp, PointOp, QOperator, basis_norms, classical_gram, gram, magnitude,
-    to_numeric)
+    pack_bracket, to_numeric)
 from .qnum import NEAR_ONE, LaurentPoly, ONE, Q, q_int, q_power
 
 FAMILIES = ("classical", "qboson", "tensor")
@@ -452,6 +453,13 @@ def classical_counterparts(gens: GeneratorSet, classical: GeneratorSet) -> Mappi
 # -- scalar contexts -----------------------------------------------------------
 
 
+def _bracket(space, f: StateFormula, m: int) -> tuple[list[int], LaurentPoly]:
+    """The s-exponent e = 4mf of the bracket [f]_m on every state, and its
+    den: [f]_m = (s^e - s^(-e)) / (s^(4m) - s^(-4m))."""
+    es = _exponents(space, f, 4 * m, "bracket argument with non-integral s-exponent")
+    return es, LaurentPoly({4 * m: 1, -4 * m: -1})
+
+
 class ExactContext:
     """Exact deformed semantics: operators are QOperator, scalars are
     Laurent polynomials in s."""
@@ -489,8 +497,7 @@ class ExactContext:
         return a.times_sqrt(q_int(2))
 
     def diag_brk(self, f: StateFormula, m: int = 1):
-        den = LaurentPoly({4 * m: 1, -4 * m: -1})
-        es = _exponents(self.space, f, 4 * m, "bracket argument with non-integral s-exponent")
+        es, den = _bracket(self.space, f, m)
         store = {(i, i): LaurentPoly._of({e: 1, -e: -1}) for i, e in enumerate(es) if e}
         return QOperator._of(self.space, store, 1, den, None, 0, 0, 0)
 
@@ -676,7 +683,14 @@ class PointContext:
         return getattr(self._ctx, name)
 
     def diag_brk(self, f: StateFormula, m: int = 1):
-        return PointOp.of(self._ctx.diag_brk(f, m))
+        """An exact context's ``[f]_m`` packed from its s-exponents
+        (:func:`sp4q.ops.pack_bracket`), each distinct one once."""
+        if self._ctx.kind != "exact":
+            return PointOp.of(self._ctx.diag_brk(f, m))
+        es, den = _bracket(self.space, f, m)
+        packed = {e: pack_bracket(e) for e in set(es) if e}
+        store = {(i, i): packed[e] for i, e in enumerate(es) if e}
+        return PointOp._of(self.space, store, 1, den, None, 0, 0, 0)
 
     def diag_pow(self, f: StateFormula):
         return PointOp.of(self._ctx.diag_pow(f))
@@ -797,32 +811,70 @@ _CASIMIR_FORMULAS = {
           " + ({2}) [2] (" + _L2 + ") + ({3}) [N]^2",
 }
 
+# Each casimir's closed-form eigenvalue, a diagonal in the same notation;
+# verify.casimir_closed_form spells the same values as functions of the
+# state.  The four S2 weights fill the placeholders.
+_CASIMIR_CLOSED = {
+    "I2": "(N/2)(N/2 + 1)",
+    "C2SU0": "(I_0 + 1/2)(I_0 - 1/2)",
+    "C2SUp": "-3/16",
+    "C2SUm": "-3/16",
+    "J2": "[N/2][N/2+1]",
+    "K02": "[J_0]^2 - [1/2]^2",
+    "C2SUqp": "([1/2]^2 - 1)/[2]^2",
+    "C2SUqm": "([1/2]^2 - 1)/[2]^2",
+    "L2": "[N][N+2]/[2]",
+    "S2": "({0}) [N][N-1] + ({1}) [N+2][N+3] + ({2}) [N][N+2] + ({3}) [N][N]",
+}
+
+
+def _casimir_parse(name: str, weights, closed: bool) -> Callable:
+    """The parsed formula of a casimir, or with ``closed`` its residual
+    against its closed form (``formula = closed form``); S2's weights, four
+    rationals, fill its placeholders."""
+    text = _CASIMIR_FORMULAS[name]
+    if closed:
+        text = f"{text} = {_CASIMIR_CLOSED[name]}"
+    if name == "S2":
+        s1, s2, s3, s4 = (Q(w) for w in weights)
+        text = text.format(s1, s2, s3, s4)
+    parse = relation_builder if closed else formula_builder
+    return parse(f"casimir {name}", _CASIMIR_FAMILY[name], text)
+
 
 @functools.cache
-def _casimir_builder(name: str) -> Callable:
-    """The parsed formula of an unweighted casimir, parsed on first use."""
-    text = _CASIMIR_FORMULAS[name]
-    if name == "S2":
-        text = text.format(1, 1, 1, 1)
-    return formula_builder(f"casimir {name}", _CASIMIR_FAMILY[name], text)
+def _casimir_builder(name: str, closed: bool) -> Callable:
+    """The parse of an unweighted casimir, made on first use."""
+    return _casimir_parse(name, (1, 1, 1, 1), closed)
+
+
+def _casimir_fn(name: str, family: str, weights, closed: bool) -> Callable:
+    """The parse of a casimir, for a set of ``family``; weights only for S2."""
+    if name not in CASIMIR_NAMES:
+        raise ValueError(f"unknown casimir {name!r}; choose from {CASIMIR_NAMES}")
+    want = _CASIMIR_FAMILY[name]
+    if family != want:
+        raise ValueError(f"casimir {name} belongs to family {want!r}, got {family!r}")
+    if weights is None:
+        return _casimir_builder(name, closed)
+    if name != "S2":
+        raise ValueError(f"weights apply only to the casimir S2, not to {name}")
+    return _casimir_parse(name, weights, closed)
 
 
 def casimir(name: str, gens: GeneratorSet, weights=None) -> QOperator:
     """Casimir operator built from its defining generator combination
     (closed-form eigenvalues are verified separately, never assumed).
     Only S2 takes ``weights``, four rationals, one per term."""
-    if name not in CASIMIR_NAMES:
-        raise ValueError(f"unknown casimir {name!r}; choose from {CASIMIR_NAMES}")
-    want = _CASIMIR_FAMILY[name]
-    if gens.family != want:
-        raise ValueError(f"casimir {name} belongs to family {want!r}, got {gens.family!r}")
-    if weights is None:
-        return _casimir_builder(name)(exact_context(gens))
-    if name != "S2":
-        raise ValueError(f"weights apply only to the casimir S2, not to {name}")
-    s1, s2, s3, s4 = (Q(w) for w in weights)
-    text = _CASIMIR_FORMULAS["S2"].format(s1, s2, s3, s4)
-    return formula_builder("casimir S2", "tensor", text)(exact_context(gens))
+    return _casimir_fn(name, gens.family, weights, False)(exact_context(gens))
+
+
+def casimir_residual(name: str, ctx, weights=None):
+    """The casimir minus its closed-form diagonal, built in the scalar
+    context ``ctx`` of its family's set: it has no entry sourced on a
+    window iff the casimir is diagonal there with exactly the closed-form
+    eigenvalues."""
+    return _casimir_fn(name, ctx.gens.family, weights, True)(ctx)
 
 
 # -- relation catalog ----------------------------------------------------------

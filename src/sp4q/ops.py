@@ -94,11 +94,16 @@ and L < 2^(B-1), every |c_k| < 2^(B-1), and the lowest nonzero c_j would
 leave V = 2^(B(j - e0)) (c_j + 2^B R) != 0: the entry is zero, and the
 packed sum drops it.  The largest L of a catalogue residual at cutoff
 24, flipped or not, is 58,752 (16 bits).  So a relation whose residual
-image keeps no entry on its window holds exactly.  A nonzero V proves an
-entry nonzero, but a Fails prints it as a Laurent polynomial, and V = 0
-with a larger L proves nothing (a product of eight entries with L = 8
-already has L = 2^24): either way the check rebuilds its residual
-exactly, which gives the verdict, the witness and the residual text.
+image keeps no entry on its window holds exactly, and so does a casimir
+whose residual against its closed form keeps none (when no numeric q is
+asked; the numeric half reads the exact eigenvalues).  A nonzero V proves
+an entry nonzero, but a Fails prints it as a Laurent polynomial, and
+V = 0 with a larger L proves nothing (a product of eight entries with
+L = 8 already has L = 2^24): either way the check rebuilds its residual
+exactly, or builds the casimir's spectrum table, which gives the verdict,
+the witness and the residual text.  A bracket diagonal [x]_m is packed
+from its s-exponents alone (:func:`pack_bracket`), not from a Laurent
+diagonal; the generators are still packed from their exact stores.
 """
 
 from __future__ import annotations
@@ -738,6 +743,15 @@ def pack(poly: LaurentPoly) -> tuple[int, int, int]:
     c = poly.c
     e0 = min(c)
     return e0, sum(v << B * (e - e0) for e, v in c.items()), sum(map(abs, c.values()))
+
+
+def pack_bracket(e: int) -> tuple[int, int, int]:
+    """pack(s^e - s^(-e)) for e != 0, from e alone: (-e, 2^(2Be) - 1, 2)
+    for e > 0 and (e, 1 - 2^(2B|e|), 2) for e < 0.  The entries of a
+    bracket diagonal [x]_m are these, with e = 4mx, over s^(4m) - s^(-4m)."""
+    if e > 0:
+        return -e, (1 << 2 * B * e) - 1, 2
+    return e, 1 - (1 << -2 * B * e), 2
 
 
 def _pmul(x: tuple, y: tuple) -> tuple[int, int, int]:

@@ -34,8 +34,8 @@ from sp4q.algebras import (
 from sp4q.fock import FockSpace, FockState
 from sp4q.notation import STATE, StateFormula
 from sp4q.ops import (
-    B, NumOp, QOperator, SafeSubspace, _split, _times, act, diagonal_spectrum, first_witness,
-    pack, to_numeric)
+    B, NumOp, PointOp, QOperator, SafeSubspace, _split, _times, act, diagonal_spectrum,
+    first_witness, pack, to_numeric)
 from sp4q.qnum import ONE, LaurentPoly, QRationalFn, add_terms, q_int, q_power
 from sp4q.verify import check_relation
 
@@ -683,6 +683,19 @@ def test_point_image_of_a_large_power_keeps_undecided_entries():
     zero, image = power(ctx) - exact, point - power(PointContext(ctx))
     assert not zero.store and image.store
     _assert_packed_image(image, zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_affine, st.integers(1, 2), st.integers(4, 12))
+def test_packed_brackets_are_the_packed_exact_diagonals(f, m, cutoff):
+    # a bracket diagonal packed from its s-exponents is the exact one
+    # packed: the same keys in the same order, the same (e0, V, L), and the
+    # same divisor, den, flag and bounds
+    ctx = exact_context(build("qboson", FockSpace(cutoff)))
+    got, want = PointContext(ctx).diag_brk(f, m), PointOp.of(ctx.diag_brk(f, m))
+    assert list(got.store.items()) == list(want.store.items())
+    assert (got.k, got.den, got.sqrt_sq, got.nu_raise, got.nu_lower, got.climb) == (
+        want.k, want.den, want.sqrt_sq, want.nu_raise, want.nu_lower, want.climb)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

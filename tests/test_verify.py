@@ -20,10 +20,11 @@ import sp4q.algebras
 import sp4q.verify
 from sp4q.algebras import (
     CASIMIR_NAMES, FAMILIES, _BUILDERS, PointContext, build, canonical_relations,
-    classical_limit_context, exact_context, find_relation, relation_catalog)
+    casimir_family, classical_limit_context, exact_context, find_relation, relation_catalog)
 from sp4q.fock import FockSpace, FockState
-from sp4q.ops import B, first_witness
-from sp4q.qnum import QRationalFn, q_factorial, q_int, q_power
+from sp4q.notation import formula_builder
+from sp4q.ops import B, QOperator, SafeSubspace, diagonal_spectrum, first_witness
+from sp4q.qnum import LaurentPoly, QRationalFn, q_factorial, q_int, q_power
 from sp4q.verify import (
     BASIS_CHECKS,
     NotDiagonalError,
@@ -428,6 +429,141 @@ def test_casimir_weighted_closed_form(gens):
         gens=gens["tensor"],
     )
     assert r.holds
+
+
+# S2 weights beside the unweighted ones: full_suite's, and a second tuple
+_S2_WEIGHTS = (None, (Q(2, 3), Q(-1, 5), 1, Q(7, 2)), (Q(2, 7), Q(-3, 5), Q(1, 2), Q(11, 3)))
+_CASIMIR_CASES = [(n, None) for n in CASIMIR_NAMES if n != "S2"] + [
+    ("S2", w) for w in _S2_WEIGHTS]
+
+
+@pytest.fixture
+def table_path(monkeypatch):
+    """check_casimir_spectrum with its packed decision switched off, so
+    that every call takes the casimir_table path."""
+    def run(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(sp4q.verify, "_point_holds", lambda *a: None)
+            return check_casimir_spectrum(*args, **kwargs)
+
+    return run
+
+
+@pytest.mark.parametrize("cutoff", (8, 12, 16))
+def test_point_decided_casimir_reports_equal_the_table_path(cutoff, table_path):
+    space = FockSpace(cutoff)
+    for name, weights in _CASIMIR_CASES:
+        g = build(casimir_family(name), space)
+        assert sp4q.verify._point_holds(name, g, weights) is not None, (name, weights)
+        got = check_casimir_spectrum(name, cutoff, weights=weights, qs=(), gens=g)
+        assert got.holds
+        assert _stripped(got) == _stripped(table_path(name, cutoff, weights=weights, qs=(),
+                                                      gens=g)), (name, weights)
+
+
+def _raised(check, *args, **kwargs) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        check(*args, **kwargs)
+    return info.type, str(info.value)
+
+
+def _replaced(g, name, **changes):
+    """The set g with the operator ``name`` rebuilt with some fields changed."""
+    op = g.ops[name]
+    fields = dict(space=op.space, store=op.store, k=op.k, den=op.den, sqrt_sq=op.sqrt_sq,
+                  nu_raise=op.nu_raise, nu_lower=op.nu_lower, climb=op.climb)
+    fields.update(changes)
+    return dataclasses.replace(g, ops={**g.ops, name: QOperator._of(**fields)})
+
+
+def test_casimir_errors_are_the_table_path_errors(table_path):
+    # a cutoff too small for a set, or for the casimir's climb, a sqrt flag
+    # and bad weights raise the exception and message of the table path
+    for cutoff in range(4):
+        for name in CASIMIR_NAMES:
+            assert _raised(check_casimir_spectrum, name, cutoff, qs=()) == _raised(
+                table_path, name, cutoff, qs=())
+    g = build("classical", FockSpace(8))
+    cases = [("I2", _replaced(g, "Ip", climb=10), None),
+             ("I2", _replaced(g, "Ip", sqrt_sq=q_int(2)), None),
+             ("I2", g, (1, 1, 1, 1)),
+             ("S2", build("tensor", FockSpace(8)), (1, 1, 1))]
+    for name, broken, weights in cases:
+        want = _raised(table_path, name, 8, weights=weights, qs=(), gens=broken)
+        assert _raised(check_casimir_spectrum, name, 8, weights=weights, qs=(),
+                       gens=broken) == want
+    assert want[1] == "not enough values to unpack (expected 4, got 3)"
+    assert _raised(check_casimir_spectrum, "I2", 8, qs=(), gens=cases[0][1]) == (
+        ValueError, "cutoff 8 too small for casimir I2")
+
+
+@pytest.mark.parametrize("family,name", [("classical", "Ip"), ("qboson", "Jp"),
+                                         ("tensor", "L1")])
+def test_casimir_mutation_fails_as_the_table_path(family, name, table_path):
+    # one entry of I_+, J_+ or L_+1 doubled: every casimir of the family
+    # gives the table path's report, and those that read it Fail with its
+    # witness and its "got ...; expected ..." text
+    g = build(family, FockSpace(8))
+    key = next(iter(g.ops[name].store))
+    store = {**g.ops[name].store, key: g.ops[name].store[key] * LaurentPoly.const(2)}
+    broken = _replaced(g, name, store=store)
+    fails = []
+    for casimir_name, weights in _CASIMIR_CASES:
+        if casimir_family(casimir_name) != family:
+            continue
+        got = check_casimir_spectrum(casimir_name, 8, weights=weights, qs=(), gens=broken)
+        assert _stripped(got) == _stripped(
+            table_path(casimir_name, 8, weights=weights, qs=(), gens=broken))
+        if not got.holds:
+            assert got.witness and re.fullmatch(r"got .+; expected .+", got.residual)
+            fails.append(casimir_name)
+    assert fails and fails[0] == {"classical": "I2", "qboson": "J2", "tensor": "L2"}[family]
+
+
+def test_point_root_checks_run_once_per_input_and_fail_as_the_table_path(monkeypatch,
+                                                                         table_path):
+    # the packed decision runs each label's root check once per distinct
+    # input it reads; one that fails gives the table path's report
+    real, calls, marked = sp4q.verify._series_label, [], set()
+
+    def label(name, st, value):
+        calls.append(st)
+        text = real(name, st, value)
+        return text + " (quadratic mismatch)" if abs(st.m) in marked else text
+
+    monkeypatch.setattr(sp4q.verify, "_series_label", label)
+    classical, qboson = build("classical", FockSpace(8)), build("qboson", FockSpace(8))
+    assert sp4q.verify._point_holds("C2SU0", classical, None) == 6
+    assert [abs(st.m) for st in calls] == [Q(k, 2) for k in range(7)]
+    calls.clear()
+    assert sp4q.verify._point_holds("C2SUp", classical, None) == 6
+    assert [st.n1 % 2 for st in calls] == [0, 1]
+    calls.clear()
+    assert sp4q.verify._point_holds("J2", qboson, None) == 8 and not calls
+    marked.add(1)
+    assert sp4q.verify._point_holds("K02", qboson, None) is None
+    assert [abs(st.m) for st in calls] == [0, Q(1, 2), 1]
+    got = check_casimir_spectrum("K02", 8, qs=(), gens=qboson)
+    assert got.residual == "series label root check failed: phi_q=-[1]-[1/2] (quadratic mismatch)"
+    assert _stripped(got) == _stripped(table_path("K02", 8, qs=(), gens=qboson))
+
+
+@pytest.mark.parametrize("cutoff", (8, 12))
+def test_closed_form_anchors_equal_casimir_closed_form(cutoff):
+    # the second spelling of each closed form, the anchor parsed into a
+    # diagonal, equals casimir_closed_form exactly on every state
+    space = FockSpace(cutoff)
+    for name, weights in _CASIMIR_CASES:
+        family = casimir_family(name)
+        text = sp4q.algebras._CASIMIR_CLOSED[name]
+        if name == "S2":
+            text = text.format(*(Q(w) for w in weights or (1, 1, 1, 1)))
+        op = formula_builder("closed form", family, text)(exact_context(build(family, space)))
+        expect = casimir_closed_form(name, weights=weights)
+        spectrum = diagonal_spectrum(op, SafeSubspace(space, cutoff))
+        assert len(spectrum) == space.dimension
+        for state, value in spectrum:
+            assert value == expect(state), (name, weights, state)
 
 
 def test_casimir_table_series_labels(gens):
