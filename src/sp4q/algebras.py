@@ -20,18 +20,25 @@ Families
 
 Every relation of each family is packaged as a named :class:`Relation`
 whose builder produces the residual operator (zero iff the identity
-holds) in any of three scalar contexts: exact deformed, exact classical
-limit (q = 1), or floating point at fixed q; the magnitude context
-rebuilds a numeric residual from the magnitudes of its terms, the scale
-of its rounding error; the point context builds an exact or classical
-residual at s = 2^24, where a provably zero image proves the relation,
-and the shape context its bounds alone.  Builders take a ``flip``
-switch that negates one term, used by the mutation self-test.  Each
-builder is parsed from the relation's anchor, the formula its reports
-print, by :mod:`sp4q.notation` on the family's first
-:func:`relation_catalog` call; the casimirs are parsed from their
-defining combinations in the same notation, and each casimir's residual
-against its closed-form diagonal from ``formula = closed form``.
+holds) in any context.  A context is a generator table, a scalar
+semantics and an entry ring.  There are three semantics: exact deformed
+(:class:`ExactContext`), exact classical limit q = 1
+(:class:`ClassicalContext`) and floating point at fixed q
+(:class:`NumericContext`).  The notation's scalar operations are written
+once, in :class:`ExactContext`; a semantics binds only its scalars
+(q-powers, brackets, rationals), its diagonals and its identity.  The
+other rings are images of a context (:class:`ImageContext`): every
+operator it returns is mapped through one function.  The point context
+packs an exact or classical result at s = 2^24, where a provably zero
+image proves the relation; the magnitude context takes the |entries| of
+a numeric one, the scale of its rounding error; the shape context keeps
+the bounds alone.  Builders take a ``flip`` switch that negates one
+term, used by the mutation self-test.  Each builder is parsed from the
+relation's anchor, the formula its reports print, by
+:mod:`sp4q.notation` on the family's first :func:`relation_catalog`
+call; the casimirs are parsed from their defining combinations in the
+same notation, and each casimir's residual against its closed-form
+diagonal from ``formula = closed form``.
 
 Generator sets are immutable and shared while alive.  A set depends only
 on its family and cutoff (the three families act in one Fock space, and
@@ -60,7 +67,7 @@ from typing import Callable, Mapping
 from .fock import FockSpace, FockState
 from .notation import STATE, StateFormula, formula_builder, relation_builder
 from .ops import (
-    NumMagnitude, NumOp, PointOp, QOperator, basis_norms, classical_gram, gram, magnitude,
+    NumOp, PointOp, QOperator, basis_norms, classical_gram, gram, magnitude,
     pack_bracket, to_numeric)
 from .qnum import NEAR_ONE, LaurentPoly, ONE, Q, q_int, q_power
 
@@ -462,9 +469,15 @@ def _bracket(space, f: StateFormula, m: int) -> tuple[list[int], LaurentPoly]:
 
 class ExactContext:
     """Exact deformed semantics: operators are QOperator, scalars are
-    Laurent polynomials in s."""
+    Laurent polynomials in s.  The scalar operations below serve every
+    semantics: they take q^x, [n]_m and r from ``power_scalar``,
+    ``bracket`` and ``rational``, and apply them with ``scale``,
+    ``over`` and ``times_sqrt``, which every operator kind has."""
 
     kind = "exact"
+    power_scalar = staticmethod(q_power)
+    bracket = staticmethod(q_int)
+    rational = staticmethod(Q)
 
     def __init__(self, gens: GeneratorSet):
         self.gens = gens
@@ -478,23 +491,20 @@ class ExactContext:
         second = (b @ a).scale(self.power_scalar(rho))
         return (a @ b) + second if flip else (a @ b) - second
 
-    def power_scalar(self, x):
-        return q_power(x)
-
     def qpow(self, a, x):
-        return a.scale(q_power(x))
+        return a.scale(self.power_scalar(x))
 
     def brk(self, a, n: int, m: int = 1):
-        return a.scale(q_int(n, m))
+        return a.scale(self.bracket(n, m))
 
     def over_brk(self, a, n: int, m: int = 1):
-        return a.over(q_int(n, m))
+        return a.over(self.bracket(n, m))
 
     def frac(self, a, r):
-        return a.scale(Q(r))
+        return a.scale(self.rational(r))
 
     def sqrt2(self, a):
-        return a.times_sqrt(q_int(2))
+        return a.times_sqrt(self.bracket(2))
 
     def diag_brk(self, f: StateFormula, m: int = 1):
         es, den = _bracket(self.space, f, m)
@@ -526,17 +536,8 @@ class ClassicalContext(ExactContext):
     def power_scalar(self, x):
         return ONE
 
-    def qpow(self, a, x):
-        return a
-
-    def brk(self, a, n: int, m: int = 1):
-        return a.scale(n)
-
-    def over_brk(self, a, n: int, m: int = 1):
-        return a.over(LaurentPoly.const(n))
-
-    def sqrt2(self, a):
-        return a.times_sqrt(LaurentPoly.const(2))
+    def bracket(self, n: int, m: int = 1):
+        return LaurentPoly.const(n)
 
     def diag_brk(self, f: StateFormula, m: int = 1):
         return _diag(self.space, f)
@@ -545,15 +546,14 @@ class ClassicalContext(ExactContext):
         return QOperator.identity(self.space)
 
 
-class NumericContext:
+class NumericContext(ExactContext):
     """Floating-point semantics at fixed q: operators are NumOp in the
     orthonormal basis, scalars are floats."""
 
     kind = "numeric"
 
     def __init__(self, gens: GeneratorSet, q: float):
-        self.gens = gens
-        self.space = gens.space
+        super().__init__(gens)
         self.q = float(q)
         self._classical = gens.family == "classical"
         # One set of basis norms serves every generator at this q.
@@ -562,9 +562,7 @@ class NumericContext:
             k: to_numeric(op, self.q, norms=norms) for k, op in gens.ops.items()
         }
 
-    # scalar helpers ----------------------------------------------------
-
-    def _num_brk(self, x, m: int = 1) -> float:
+    def bracket(self, x, m: int = 1) -> float:
         if self._classical:
             return float(x)
         qm = self.q ** float(m)
@@ -579,32 +577,11 @@ class NumericContext:
             return math.sinh(float(x) * mlog) / math.sinh(mlog)
         return (qm ** float(x) - qm ** float(-x)) / (qm - 1.0 / qm)
 
-    def _num_pow(self, x) -> float:
+    def power_scalar(self, x) -> float:
         return 1.0 if self._classical else self.q ** float(x)
 
-    # same interface as ExactContext ------------------------------------
-
-    def __getitem__(self, name: str) -> NumOp:
-        return self._table[name]
-
-    def comm(self, a, b, rho=0, flip: bool = False):
-        second = (b @ a).scale(self._num_pow(rho))
-        return (a @ b) + second if flip else (a @ b) - second
-
-    def qpow(self, a, x):
-        return a.scale(self._num_pow(x))
-
-    def brk(self, a, n: int, m: int = 1):
-        return a.scale(self._num_brk(n, m))
-
-    def over_brk(self, a, n: int, m: int = 1):
-        return a.scale(1.0 / self._num_brk(n, m))
-
-    def frac(self, a, r):
-        return a.scale(float(Q(r)))
-
-    def sqrt2(self, a):
-        return a.scale(math.sqrt(self._num_brk(2)))
+    def rational(self, r) -> float:
+        return float(Q(r))
 
     def _diag_of(self, f: StateFormula, value) -> NumOp:
         """The diagonal of ``value(x)`` for x the formula f on each state;
@@ -620,10 +597,10 @@ class NumericContext:
         return NumOp(self.space, self.q, entries)
 
     def diag_brk(self, f: StateFormula, m: int = 1):
-        return self._diag_of(f, lambda x: self._num_brk(x, m))
+        return self._diag_of(f, lambda x: self.bracket(x, m))
 
     def diag_pow(self, f: StateFormula):
-        return self._diag_of(f, self._num_pow)
+        return self._diag_of(f, self.power_scalar)
 
     def diag_frac(self, f: StateFormula):
         return self._diag_of(f, float)
@@ -632,91 +609,79 @@ class NumericContext:
         return NumOp.identity(self.space, self.q)
 
 
-class MagnitudeContext(NumericContext):
-    """The magnitudes of a numeric context's terms.  Operators are the
-    |entries| of the numeric ones (NumMagnitude), so ``-`` adds, unary
-    minus is the identity and every scalar counts by its absolute value;
-    ``comm`` returns ab + |q^rho| ba.  A relation built here gives
-    |terms|: entry by entry, the sum of the magnitudes that its numeric
-    residual adds up."""
+class ImageContext:
+    """Another context's operators mapped through ``image``: each
+    generator on its first read, kept and dropped with this context, and
+    every diagonal and identity as it is made.  The scalar operations are
+    the wrapped context's, run on the images, which have the operator
+    methods they call (``scale``, ``over``, ``times_sqrt``, ``@``, ``+``
+    and ``-``)."""
 
-    kind = "magnitude"
+    def __init__(self, ctx, image: Callable, kind: str):
+        self._ctx, self._image, self.kind = ctx, image, kind
+        self.gens, self.space = ctx.gens, ctx.space
+        self._images = {}
 
-    def __init__(self, nctx: NumericContext):
-        self.gens, self.space, self.q = nctx.gens, nctx.space, nctx.q
-        self._classical, self._numeric = nctx._classical, nctx
-
-    def __getitem__(self, name: str) -> NumMagnitude:
-        return magnitude(self._numeric[name])
-
-    def comm(self, a, b, rho=0, flip: bool = False):
-        return (a @ b) + (b @ a).scale(self._num_pow(rho))
-
-    def _diag_of(self, f: StateFormula, value) -> NumMagnitude:
-        return magnitude(super()._diag_of(f, value))
-
-    def ident(self):
-        return NumMagnitude.identity(self.space, self.q)
-
-
-class PointContext:
-    """An exact or classical context at s = 2^B: operators are the
-    PointOp images of the wrapped context's, each generator packed on its
-    first read and dropped with this context.  Scalars and diagonals take
-    the wrapped context's semantics."""
-
-    kind = "point"
-
-    def __init__(self, ctx: ExactContext):
-        self._ctx, self.gens, self.space = ctx, ctx.gens, ctx.space
-        self._packed: dict[str, PointOp] = {}
-
-    def __getitem__(self, name: str) -> PointOp:
-        op = self._packed.get(name)
+    def __getitem__(self, name: str):
+        op = self._images.get(name)
         if op is None:
-            op = self._packed[name] = PointOp.of(self._ctx[name])
+            op = self._images[name] = self._image(self._ctx[name])
         return op
 
     def __getattr__(self, name: str):
-        # comm, qpow, brk, over_brk, frac and sqrt2 only call scale, over,
-        # times_sqrt, @, + and - on their operands, which PointOp has
         return getattr(self._ctx, name)
+
+    def diag_brk(self, f: StateFormula, m: int = 1):
+        return self._image(self._ctx.diag_brk(f, m))
+
+    def diag_pow(self, f: StateFormula):
+        return self._image(self._ctx.diag_pow(f))
+
+    def diag_frac(self, f: StateFormula):
+        return self._image(self._ctx.diag_frac(f))
+
+    def ident(self):
+        return self._image(self._ctx.ident())
+
+
+class PointContext(ImageContext):
+    """An exact or classical context at s = 2^B: operators are the
+    PointOp images of the wrapped context's."""
+
+    def __init__(self, ctx: ExactContext):
+        super().__init__(ctx, PointOp.of, "point")
 
     def diag_brk(self, f: StateFormula, m: int = 1):
         """An exact context's ``[f]_m`` packed from its s-exponents
         (:func:`sp4q.ops.pack_bracket`), each distinct one once."""
         if self._ctx.kind != "exact":
-            return PointOp.of(self._ctx.diag_brk(f, m))
+            return super().diag_brk(f, m)
         es, den = _bracket(self.space, f, m)
         packed = {e: pack_bracket(e) for e in set(es) if e}
         store = {(i, i): packed[e] for i, e in enumerate(es) if e}
         return PointOp._of(self.space, store, 1, den, None, 0, 0, 0)
 
-    def diag_pow(self, f: StateFormula):
-        return PointOp.of(self._ctx.diag_pow(f))
 
-    def diag_frac(self, f: StateFormula):
-        return PointOp.of(self._ctx.diag_frac(f))
+def MagnitudeContext(nctx: NumericContext) -> ImageContext:
+    """The magnitudes of a numeric context's terms.  Operators are the
+    |entries| of the numeric ones (NumMagnitude), so ``-`` adds, unary
+    minus is the identity and every scalar counts by its absolute value;
+    ``comm`` gives ab + |q^rho| ba.  A relation built here gives |terms|:
+    entry by entry, the sum of the magnitudes that its numeric residual
+    adds up."""
+    return ImageContext(nctx, magnitude, "magnitude")
 
-    def ident(self):
-        return PointOp.of(self._ctx.ident())
+
+def _shape(op: QOperator) -> QOperator:
+    """An empty store with op's bounds."""
+    return QOperator._of(op.space, {}, 1, ONE, None, op.nu_raise, op.nu_lower, op.climb)
 
 
-class ShapeContext(ExactContext):
+def ShapeContext(gens: GeneratorSet) -> ImageContext:
     """Exact semantics on the bounds alone: every operator has an empty
     store, so a relation built here composes no entry, and its residual
     carries the bounds QOperator's own rules give the exact one."""
-
-    kind = "shape"
-
-    def __getitem__(self, name: str) -> QOperator:
-        op = self._table[name]
-        return QOperator._of(self.space, {}, 1, ONE, None, op.nu_raise, op.nu_lower, op.climb)
-
-    def _empty(self, *args) -> QOperator:
-        return QOperator.zero(self.space)
-
-    diag_brk = diag_pow = diag_frac = ident = _empty
+    return ImageContext(ExactContext(gens), _shape, "shape")
 
 
 def exact_context(gens: GeneratorSet) -> ExactContext:

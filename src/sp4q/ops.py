@@ -47,9 +47,13 @@ Entry rings: an operator of every kind -- exact (:class:`QOperator`,
 Laurent entries), packed (:class:`PointOp`), float (:class:`NumOp`) and
 magnitude (:class:`NumMagnitude`) -- is one :class:`SparseOp`, which
 keeps the bookkeeping once: store, bounds, climb composition, divisor,
-den, flag, the sum, negation, ``scale`` and the product.  A kind only
-binds the arithmetic of its entries: a product, a sum that says when it
-is provably zero, a negation, and a store times a scalar.
+den, flag, the sum, negation, ``scale``, ``over``, ``times_sqrt`` and
+the product.  A kind only binds the arithmetic of its entries: a
+product, a sum that says when it is provably zero, a negation, and a
+store times a scalar.  So one set of scalar operations
+(:class:`sp4q.algebras.ExactContext`) runs on every kind, and the
+packed, magnitude and shape contexts are images of an exact or numeric
+one (:class:`sp4q.algebras.ImageContext`).
 
 Accumulation: a product (``@``) keeps, per output entry, its first ring
 product as it is, and merges each later one into it with the ring sum; a
@@ -117,6 +121,7 @@ from typing import Callable
 from .fock import FockSpace, FockState
 from .qnum import (
     LaurentPoly,
+    NEAR_ONE,
     ONE,
     Q,
     QRationalFn,
@@ -693,6 +698,14 @@ class NumOp(SparseOp):
         """Multiply by a float."""
         return self._like(self._times(self.store, factor), 1, ONE, None)
 
+    def over(self, x: float) -> "NumOp":
+        """Divide by a float, as a scaling by 1/x."""
+        return self.scale(1.0 / x)
+
+    def times_sqrt(self, x: float) -> "NumOp":
+        """Multiply by the square root of a float."""
+        return self.scale(math.sqrt(x))
+
     def __matmul__(self, other: "NumOp") -> "NumOp":
         # SparseOp's product, as a function of this class's own, so that
         # perfbench/tracing.py times float products apart from exact ones
@@ -850,10 +863,14 @@ def to_numeric(
     if norms is None:
         norms = basis_norms(op.space, q, gram_fn)
     den = op.den(q)
+    # near q = 1 a den that vanishes there cancels digits; QRationalFn
+    # first divides it and the entry by (s - 1) while both vanish at 1
+    near = abs(q - 1.0) < NEAR_ONE and op.den.at_one() == 0
     flag = math.sqrt(op.sqrt_sq(q)) if op.sqrt_sq is not None else 1.0
     entries = {}
     for (d, s), poly in op.entries.items():
-        entries[(d, s)] = poly(q) / den * flag * norms[d] / norms[s]
+        v = QRationalFn(poly, op.den)(q) if near else poly(q) / den
+        entries[(d, s)] = v * flag * norms[d] / norms[s]
     return NumOp(
         op.space,
         q,

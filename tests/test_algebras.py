@@ -4,17 +4,19 @@ contextual (exact / classical / numeric) evaluation semantics."""
 
 import gc
 import json
+import math
 import weakref
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sp4q.algebras
 from sp4q.algebras import (
     CASIMIR_NAMES,
     FAMILIES,
+    MagnitudeContext,
     PointContext,
     ShapeContext,
     build,
@@ -37,7 +39,7 @@ from sp4q.ops import (
     B, NumOp, PointOp, QOperator, SafeSubspace, _split, _times, act, diagonal_spectrum,
     first_witness, pack, to_numeric)
 from sp4q.qnum import ONE, LaurentPoly, QRationalFn, add_terms, q_int, q_power
-from sp4q.verify import check_relation
+from sp4q.verify import DEFAULT_TOL, check_relation
 
 
 @pytest.fixture(scope="module")
@@ -708,3 +710,62 @@ def test_shape_climb_is_the_exact_residual_climb(family):
             assert not s.store
             assert (s.nu_raise, s.nu_lower, s.climb) == (e.nu_raise, e.nu_lower, e.climb), (
                 rel.name, flip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shape_of_an_expression_is_the_exact_bounds(data):
+    # generators, diagonals and the identity all reach the shape context
+    # through its image map: a random expression built there has no entry
+    # and the exact result's bounds
+    gens = build(data.draw(st.sampled_from(FAMILIES)), FockSpace(data.draw(st.integers(4, 8))))
+    expr = _expression(data, sorted(gens.ops), data.draw(st.integers(1, 4)))
+    try:
+        exact = expr(exact_context(gens))
+    except ValueError:
+        return
+    shape = expr(ShapeContext(gens))
+    assert not shape.store
+    assert (shape.nu_raise, shape.nu_lower, shape.climb) == (
+        exact.nu_raise, exact.nu_lower, exact.climb)
+
+
+def test_to_numeric_near_q_one_divides_out_a_vanishing_den():
+    # [N] Fq11 Gq11 has the bracket den s^4 - s^(-4), which vanishes at
+    # q = 1 with every entry; evaluated as they stand, den and entries
+    # kept 5 correct digits at q = 1 + 1e-12 and 9 at q = 1 - 1e-9
+    gens = build("qboson", FockSpace(6))
+    for q in (1.0 + 1e-12, 1.0 - 1e-9):
+        ctx, nctx = exact_context(gens), numeric_context(gens, q)
+        exact = ctx.diag_brk(STATE["N"]) @ (ctx["Fq11"] @ ctx["Gq11"])
+        got = to_numeric(exact, q, gens.gram_fn()).store
+        want = (nctx.diag_brk(STATE["N"]) @ (nctx["Fq11"] @ nctx["Gq11"])).store
+        assert got.keys() == want.keys()
+        for key, v in want.items():
+            assert got[key] == pytest.approx(v, rel=1e-14), (q, key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_numeric_expression_is_the_exact_one_within_its_terms(data):
+    # a random expression at q log-uniform on [0.3, 3]: its exact result,
+    # evaluated, agrees entry by entry with the numeric one within
+    # tol*|terms|, |terms| being the expression built in the magnitude
+    # context.  The classical numeric brackets are their arguments, so the
+    # classical family's exact result is taken in its classical limit.
+    family = data.draw(st.sampled_from(FAMILIES))
+    gens = build(family, FockSpace(data.draw(st.integers(6, 10))))
+    q = math.exp(data.draw(st.floats(math.log(0.3), math.log(3.0))))
+    assume(q != 1.0)
+    ctx = (classical_limit_context if family == "classical" else exact_context)(gens)
+    expr = _expression(data, sorted(gens.ops), data.draw(st.integers(1, 4)))
+    try:
+        exact = expr(ctx)
+    except ValueError:
+        return
+    nctx = numeric_context(gens, q)
+    want, got = to_numeric(exact, q, gens.gram_fn()).store, expr(nctx).store
+    terms = expr(MagnitudeContext(nctx)).store
+    for key in {**want, **got}:
+        x, y = want.get(key, 0.0), got.get(key, 0.0)
+        assert abs(x - y) <= DEFAULT_TOL * terms.get(key, 0.0), (family, q, key, x, y)

@@ -829,6 +829,24 @@ def test_structural_adjoint_uses_scalar_tolerance(gens):
     assert adj and all(r.mode == "NumericAt(0.7)" for r in adj)
 
 
+def test_adjoint_pairs_bound_each_entry_by_its_own_terms():
+    # at cutoff 24 and q = 3 the entries of tensor Tm1 span 3.4e-11 to
+    # 3.5e10; doubling the smallest one breaks (Tm1)+ = Tt1 by far less
+    # than a bound taken from the largest entry, 1e-12*(1 + 3.5e10)
+    gens = build("tensor", FockSpace(24))
+    key = min(sp4q.algebras.numeric_context(gens, 3.0)["Tm1"].store.items(),
+              key=lambda item: abs(item[1]))[0]
+    op = gens["Tm1"]
+    store = {**op.store, key: op.store[key] + op.store[key]}
+    doubled = QOperator._of(op.space, store, op.k, op.den, op.sqrt_sq, op.nu_raise,
+                            op.nu_lower, op.climb)
+    bad = dataclasses.replace(gens, ops={**gens.ops, "Tm1": doubled})
+    (adj,) = [r for r in structural_checks("tensor", 24, qs=(3.0,), gens=bad)
+              if "adjoint" in r.relation]
+    assert not adj.holds and adj.witness == "(Tm1)+ vs Tt1", (adj.witness, adj.residual)
+    assert re.fullmatch(r"\S+ > tol \S+", adj.residual)
+
+
 def test_classical_degeneration_holds():
     for r in classical_degeneration(8):
         assert r.holds, f"{r.relation}: {r.witness} {r.residual}"
